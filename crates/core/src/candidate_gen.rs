@@ -14,17 +14,30 @@ use midas_catapult::candidates::generate_candidates;
 use midas_catapult::random_walk::random_walks;
 use midas_catapult::{PatternBudget, WeightedCsg};
 use midas_graph::canonical::canonical_code;
-use midas_graph::{GraphId, LabeledGraph};
+use midas_graph::{EdgeLabel, GraphId, LabeledGraph};
+use midas_index::PatternId;
 use rand::rngs::StdRng;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// A promising FCP together with the sampled graphs containing it — the
+/// swap reads its `scov` from this set instead of re-covering it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Candidate {
+    /// The candidate pattern.
+    pub graph: LabeledGraph,
+    /// `G_p ∩ D_s`: the sampled graphs containing `graph`.
+    pub covered: BTreeSet<GraphId>,
+}
 
 /// Coverage bookkeeping for the current pattern set over the sample.
 #[derive(Debug, Clone, Default)]
 pub struct CoverageState {
+    /// Per pattern: `G_scov(p)`, the sampled graphs containing it.
+    pub covered: BTreeMap<PatternId, BTreeSet<GraphId>>,
     /// `⋃_{p ∈ P} G_scov(p)` over the sample.
     pub covered_union: BTreeSet<GraphId>,
     /// Per pattern: `|G_scov(p) \ ⋃_{p' ≠ p} G_scov(p')|`.
-    pub exclusive: BTreeMap<midas_index::PatternId, usize>,
+    pub exclusive: BTreeMap<PatternId, usize>,
     /// The minimum exclusive coverage across patterns (0 when `P` is
     /// empty — every candidate is then promising).
     pub min_exclusive: usize,
@@ -32,23 +45,24 @@ pub struct CoverageState {
 
 /// Computes the coverage state of `store` over the sample.
 pub fn coverage_state(store: &PatternStore, ctx: &ScovContext<'_>) -> CoverageState {
-    let per_pattern: Vec<(midas_index::PatternId, BTreeSet<GraphId>)> =
+    let covered: BTreeMap<PatternId, BTreeSet<GraphId>> =
         store.iter().map(|(id, p)| (id, ctx.covered(p))).collect();
     let mut covered_union = BTreeSet::new();
-    for (_, covered) in &per_pattern {
-        covered_union.extend(covered.iter().copied());
+    for set in covered.values() {
+        covered_union.extend(set.iter().copied());
     }
     let mut exclusive = BTreeMap::new();
-    for (id, covered) in &per_pattern {
-        let others: BTreeSet<GraphId> = per_pattern
+    for (id, set) in &covered {
+        let others: BTreeSet<GraphId> = covered
             .iter()
-            .filter(|(other, _)| other != id)
+            .filter(|(other, _)| *other != id)
             .flat_map(|(_, c)| c.iter().copied())
             .collect();
-        exclusive.insert(*id, covered.difference(&others).count());
+        exclusive.insert(*id, set.difference(&others).count());
     }
     let min_exclusive = exclusive.values().copied().min().unwrap_or(0);
     CoverageState {
+        covered,
         covered_union,
         exclusive,
         min_exclusive,
@@ -72,7 +86,11 @@ pub struct GenerationParams {
 
 /// Generates promising FCPs from the given weighted CSGs with Eq. 2
 /// pruning, deduplicated up to isomorphism and against the current pattern
-/// set.
+/// set, each with its sample coverage.
+///
+/// Every canonical code is covered at most once: isomorphic graphs have
+/// identical coverage, so a repeat of an evaluated candidate — accepted or
+/// rejected — is skipped before the containment scan.
 pub fn generate_promising_candidates(
     csgs: &[WeightedCsg],
     store: &PatternStore,
@@ -80,10 +98,14 @@ pub fn generate_promising_candidates(
     state: &CoverageState,
     params: &GenerationParams,
     rng: &mut StdRng,
-) -> Vec<LabeledGraph> {
+) -> Vec<Candidate> {
     let threshold = ((1.0 + params.kappa) * state.min_exclusive as f64).ceil() as usize;
     let mut out = Vec::new();
-    let mut codes = BTreeSet::new();
+    let mut evaluated = BTreeSet::new();
+    let mut iso_skipped = 0u64;
+    // An edge's marginal coverage depends only on its label; the hook asks
+    // once per extension, so the answers are memoized per label.
+    let mut marginal_by_label: BTreeMap<EdgeLabel, usize> = BTreeMap::new();
     for csg in csgs {
         let stats = random_walks(csg, params.walks, params.walk_length, rng);
         for size in params.budget.eta_min..=params.budget.eta_max {
@@ -92,38 +114,44 @@ pub fn generate_promising_candidates(
             // catalog through the context.
             let mut hook = |_partial: &[(u32, u32)], next: (u32, u32)| {
                 let label = csg.graph.edge_label(next.0, next.1);
-                let marginal = ctx.catalog.get(label).map_or(0, |stats| {
-                    stats
-                        .support
-                        .iter()
-                        .filter(|id| ctx.sample.contains(id) && !state.covered_union.contains(id))
-                        .count()
+                let marginal = *marginal_by_label.entry(label).or_insert_with(|| {
+                    ctx.catalog.get(label).map_or(0, |stats| {
+                        stats
+                            .support
+                            .iter()
+                            .filter(|id| {
+                                ctx.sample.contains(id) && !state.covered_union.contains(id)
+                            })
+                            .count()
+                    })
                 });
                 marginal >= threshold
             };
             for candidate in
                 generate_candidates(csg, &stats, size, params.seeds_per_size, &mut hook)
             {
-                if store.contains_isomorphic(&candidate) {
+                let code = canonical_code(&candidate);
+                if store.contains_code(&code) {
+                    continue;
+                }
+                if !evaluated.insert(code) {
+                    iso_skipped += 1;
                     continue;
                 }
                 // Promising-FCP test (Def. 5.5): the candidate's marginal
                 // coverage must reach (1 + κ) × the smallest exclusive
                 // coverage of an existing pattern.
-                let marginal = ctx
-                    .covered(&candidate)
-                    .difference(&state.covered_union)
-                    .count();
-                if marginal < threshold {
-                    continue;
-                }
-                let code = canonical_code(&candidate);
-                if codes.insert(code) {
-                    out.push(candidate);
+                let covered = ctx.covered(&candidate);
+                if covered.difference(&state.covered_union).count() >= threshold {
+                    out.push(Candidate {
+                        graph: candidate,
+                        covered,
+                    });
                 }
             }
         }
     }
+    midas_obs::counter_add!("batch.candidates.iso_skipped", iso_skipped);
     out
 }
 
@@ -131,7 +159,7 @@ pub fn generate_promising_candidates(
 mod tests {
     use super::*;
     use midas_graph::{ClosureGraph, GraphBuilder, GraphDb};
-    use midas_index::{FctIndex, IfeIndex, PatternId};
+    use midas_index::{FctIndex, IfeIndex};
     use midas_mining::EdgeCatalog;
     use rand::SeedableRng;
 
@@ -217,6 +245,8 @@ mod tests {
         let c = ctx(&w);
         let state = coverage_state(&store, &c);
         assert_eq!(state.covered_union.len(), 3);
+        assert_eq!(state.covered[&p1].len(), 2);
+        assert_eq!(state.covered[&p2].len(), 2);
         assert_eq!(state.exclusive[&p1], 1);
         assert_eq!(state.exclusive[&p2], 1);
         assert_eq!(state.min_exclusive, 1);
@@ -248,8 +278,8 @@ mod tests {
         let candidates =
             generate_promising_candidates(&[csg], &store, &c, &state, &params(0.0), &mut rng);
         assert!(
-            candidates.iter().all(|p| p.edge_count() != 2
-                || !midas_graph::canonical::are_isomorphic(p, &path(&[0, 1, 2]))),
+            candidates.iter().all(|c| c.graph.edge_count() != 2
+                || !midas_graph::canonical::are_isomorphic(&c.graph, &path(&[0, 1, 2]))),
             "existing pattern must not reappear"
         );
     }
@@ -291,7 +321,9 @@ mod tests {
         let candidates =
             generate_promising_candidates(&[csg], &store, &c, &state, &params(0.1), &mut rng);
         assert!(
-            candidates.iter().any(|p| p.sorted_labels().contains(&3)),
+            candidates
+                .iter()
+                .any(|c| c.graph.sorted_labels().contains(&3)),
             "S-family candidate expected: {candidates:?}"
         );
     }

@@ -23,14 +23,16 @@
 //! `batch.swap`), the batch records `pmt_us`/`pgt_us` counters, and the
 //! report carries a [`MetricsSnapshot`] delta scoped to just that batch.
 
-use crate::candidate_gen::{coverage_state, generate_promising_candidates, GenerationParams};
+use crate::candidate_gen::{
+    coverage_state, generate_promising_candidates, Candidate, GenerationParams,
+};
 use crate::config::MidasConfig;
 use crate::metrics::ScovContext;
 use crate::monitor::{classify, GraphletMonitor, Modification};
 use crate::patterns::PatternStore;
 use crate::published::{PatternSnapshot, Published};
 use crate::sampling::sample_database;
-use crate::swap::{multi_scan_swap, SwapParams};
+use crate::swap::{multi_scan_swap, SwapParams, SwapScope};
 use midas_catapult::score::SetQuality;
 use midas_catapult::{select_patterns, WeightedCsg};
 use midas_cluster::{ClusterSet, FeatureSpace};
@@ -465,14 +467,9 @@ impl Midas {
                 let cand_start = Instant::now();
                 let dirty = self.clusters.take_dirty();
                 let sample = self.sample();
-                // The swap step mutates the indices' pattern columns while the
-                // scoring context reads feature rows; a snapshot keeps borrows
-                // disjoint (feature rows do not change during swapping).
-                let fct_snapshot = self.fct_index.clone();
-                let ife_snapshot = self.ife_index.clone();
                 let ctx = ScovContext {
-                    fct: &fct_snapshot,
-                    ife: &ife_snapshot,
+                    fct: &self.fct_index,
+                    ife: &self.ife_index,
                     db: &self.db,
                     sample: &sample,
                     catalog: &self.fct_state.edges,
@@ -514,10 +511,19 @@ impl Midas {
                 let swap_start = Instant::now();
                 swaps = match strategy {
                     SwapStrategy::MultiScan => {
+                        // The swap reads only coverage already computed
+                        // above, so it may mutate the indices' pattern
+                        // columns directly.
+                        let scope = SwapScope {
+                            sample: &sample,
+                            catalog: &self.fct_state.edges,
+                            db_len: self.db.len(),
+                            pattern_covered: &state.covered,
+                        };
                         let outcome = multi_scan_swap(
                             &mut self.patterns,
                             candidates,
-                            &ctx,
+                            &scope,
                             &SwapParams {
                                 kappa: self.config.kappa,
                                 lambda: self.config.lambda,
@@ -616,10 +622,10 @@ impl Midas {
 
     /// The *Random* baseline's swap step: each candidate replaces a
     /// uniformly random pattern, no criteria checked.
-    fn random_swap(&mut self, candidates: Vec<LabeledGraph>, rng: &mut StdRng) -> usize {
+    fn random_swap(&mut self, candidates: Vec<Candidate>, rng: &mut StdRng) -> usize {
         use rand::RngExt;
         let mut swaps = 0;
-        for candidate in candidates {
+        for candidate in candidates.into_iter().map(|c| c.graph) {
             if self.patterns.is_empty() {
                 break;
             }

@@ -56,8 +56,12 @@ impl PatternStore {
 
     /// Whether an isomorphic pattern is present.
     pub fn contains_isomorphic(&self, pattern: &LabeledGraph) -> bool {
-        let code = canonical_code(pattern);
-        self.patterns.values().any(|(_, c)| *c == code)
+        self.contains_code(&canonical_code(pattern))
+    }
+
+    /// Whether a pattern with canonical code `code` is present.
+    pub(crate) fn contains_code(&self, code: &CanonicalCode) -> bool {
+        self.patterns.values().any(|(_, c)| c == code)
     }
 
     /// Number of patterns `|P|`.

@@ -15,14 +15,32 @@
 //! `σ₀ = 0.25`, scan `t` uses `κ_t = 1 − 2σ_{t−1}` and improves the bound
 //! to `σ_t = 0.25 / (1 − σ_{t−1})`, stopping once `σ ≥ 0.5`, candidates run
 //! out, or a scan makes no swap. The first scan uses the configured `κ`.
+//!
+//! ## Scoring once per run
+//!
+//! The database and the sample do not change while the swap runs, so
+//! everything a scan reads except diversity belongs to a single graph:
+//! `scov` (taken from the coverage sets candidate generation and
+//! [`crate::candidate_gen::CoverageState`] already hold), `lcov`, `cog`, the
+//! query-log weight, and the graph's label cover over the sample. A
+//! [`ScoreTable`] over `P ∪ pool` computes each once per run; `lcov` and
+//! the label cover depend only on the edge-label set and are memoized per
+//! distinct set. Diversity needs `GED'_l` between pairs, which a lazily
+//! filled matrix keyed by ordered pair computes at most once per run. A
+//! scan then ranks with `O(|pool|·|P| + |P|²)` matrix lookups, and each
+//! (candidate, victim) test costs `O(|P|²)` lookups plus a bitset union
+//! of `|P|` label covers.
 
+use crate::candidate_gen::Candidate;
 use crate::ks::distributions_similar;
-use crate::metrics::ScovContext;
 use crate::patterns::PatternStore;
-use midas_catapult::score::diversity;
-use midas_graph::{GraphId, LabeledGraph};
+use crate::query_log::QueryLog;
+use midas_catapult::score::{lcov_pattern, pattern_score, PatternScoreParts};
+use midas_graph::ged::ged_tight_lower_bound;
+use midas_graph::{EdgeLabel, GraphId, LabeledGraph};
 use midas_index::{FctIndex, IfeIndex, PatternId};
-use std::collections::BTreeSet;
+use midas_mining::EdgeCatalog;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Swap parameters.
 #[derive(Debug, Clone, Copy)]
@@ -69,55 +87,196 @@ pub struct SwapOutcome {
     pub replaced: Vec<(PatternId, PatternId)>,
 }
 
-/// Set-level measures needed by sw3–sw5, computed over the sample.
-fn set_measures(patterns: &[LabeledGraph], ctx: &ScovContext<'_>) -> (f64, f64, f64) {
-    let div = patterns
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let others: Vec<LabeledGraph> = patterns
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, q)| q.clone())
-                .collect();
-            diversity(p, &others)
-        })
-        .fold(f64::INFINITY, f64::min);
-    let div = if div.is_finite() { div } else { 0.0 };
-    let cog = patterns
-        .iter()
-        .map(|p| p.cognitive_load())
-        .fold(0.0, f64::max);
-    // f_lcov over the sample: fraction of sampled graphs containing at
-    // least one pattern edge label.
-    let mut union: BTreeSet<GraphId> = BTreeSet::new();
-    for p in patterns {
-        for label in p.edge_labels() {
-            if let Some(stats) = ctx.catalog.get(label) {
-                union.extend(stats.support.intersection(ctx.sample).copied());
-            }
+/// What the swap reads besides the store. The database and the sample are
+/// fixed for the whole run; no index is consulted.
+#[derive(Debug, Clone, Copy)]
+pub struct SwapScope<'a> {
+    /// The sampled universe `D_s` the coverage sets were computed over.
+    pub sample: &'a BTreeSet<GraphId>,
+    /// The edge catalog (for `lcov` and the sw5 label cover).
+    pub catalog: &'a EdgeCatalog,
+    /// `|D|`, the denominator of a pattern's `lcov`.
+    pub db_len: usize,
+    /// `G_p ∩ D_s` of every live pattern (`CoverageState::covered`).
+    pub pattern_covered: &'a BTreeMap<PatternId, BTreeSet<GraphId>>,
+}
+
+/// One graph's run-invariant score inputs.
+#[derive(Debug)]
+struct Scored {
+    graph: LabeledGraph,
+    scov: f64,
+    lcov: f64,
+    cog: f64,
+    weight: f64,
+    /// Index into `ScoreTable::covers`.
+    cover: usize,
+}
+
+/// Per-run scoring table over `P ∪ pool` plus the lazily filled pairwise
+/// `GED'_l` matrix (see the module docs). Entries are addressed by the
+/// index [`ScoreTable::push`] returns.
+#[derive(Debug)]
+pub struct ScoreTable<'a> {
+    catalog: &'a EdgeCatalog,
+    db_len: usize,
+    log: Option<&'a QueryLog>,
+    /// The sample in id order; a graph's position is its label-cover bit.
+    sample: Vec<GraphId>,
+    entries: Vec<Scored>,
+    /// Per distinct edge-label set: `lcov` and the index of its cover.
+    by_labels: BTreeMap<BTreeSet<EdgeLabel>, (f64, usize)>,
+    /// Label covers over the sample as bitsets.
+    covers: Vec<Vec<u64>>,
+    /// `GED'_l(entry i, entry j)` by ordered pair `(i, j)`, filled on
+    /// first use.
+    ged: HashMap<(usize, usize), u32>,
+}
+
+impl<'a> ScoreTable<'a> {
+    /// An empty table over the sampled universe `sample` of a database
+    /// with `db_len` graphs, with scores weighted by `log`.
+    pub fn new(
+        sample: &BTreeSet<GraphId>,
+        catalog: &'a EdgeCatalog,
+        db_len: usize,
+        log: Option<&'a QueryLog>,
+    ) -> Self {
+        ScoreTable {
+            catalog,
+            db_len,
+            log,
+            sample: sample.iter().copied().collect(),
+            entries: Vec::new(),
+            by_labels: BTreeMap::new(),
+            covers: Vec::new(),
+            ged: HashMap::new(),
         }
     }
-    let lcov = if ctx.sample.is_empty() {
-        0.0
-    } else {
-        union.len() as f64 / ctx.sample.len() as f64
-    };
-    (div, cog, lcov)
+
+    /// Scores `graph`, which is contained in `covered` sampled graphs, and
+    /// returns its entry index.
+    pub fn push(&mut self, graph: LabeledGraph, covered: usize) -> usize {
+        let labels: BTreeSet<EdgeLabel> = graph.edge_labels().collect();
+        let (lcov, cover) = match self.by_labels.get(&labels) {
+            Some(&memo) => memo,
+            None => {
+                let memo = (
+                    lcov_pattern(&graph, self.catalog, self.db_len),
+                    self.covers.len(),
+                );
+                self.covers.push(self.label_cover(&labels));
+                self.by_labels.insert(labels, memo);
+                memo
+            }
+        };
+        let scov = if self.sample.is_empty() {
+            0.0
+        } else {
+            covered as f64 / self.sample.len() as f64
+        };
+        self.entries.push(Scored {
+            scov,
+            lcov,
+            cog: graph.cognitive_load(),
+            weight: self.log.map_or(1.0, |l| l.weight(&graph)),
+            cover,
+            graph,
+        });
+        self.entries.len() - 1
+    }
+
+    /// The sampled graphs containing at least one of `labels`, as a bitset
+    /// over sample positions.
+    fn label_cover(&self, labels: &BTreeSet<EdgeLabel>) -> Vec<u64> {
+        let mut bits = vec![0u64; self.sample.len().div_ceil(64)];
+        for &label in labels {
+            if let Some(stats) = self.catalog.get(label) {
+                for id in &stats.support {
+                    if let Ok(pos) = self.sample.binary_search(id) {
+                        bits[pos / 64] |= 1 << (pos % 64);
+                    }
+                }
+            }
+        }
+        bits
+    }
+
+    /// `GED'_l(entry i, entry j)`, computed on first use.
+    fn ged(&mut self, i: usize, j: usize) -> u32 {
+        let entries = &self.entries;
+        *self
+            .ged
+            .entry((i, j))
+            .or_insert_with(|| ged_tight_lower_bound(&entries[i].graph, &entries[j].graph))
+    }
+
+    /// `div(i, others)`: the minimum `GED'_l` from entry `i` to `others`,
+    /// or the neutral 1.0 when `others` is empty (as
+    /// [`midas_catapult::score::diversity`]).
+    fn diversity(&mut self, i: usize, others: &[usize]) -> f64 {
+        others
+            .iter()
+            .map(|&j| self.ged(i, j) as f64)
+            .fold(None::<f64>, |acc, d| Some(acc.map_or(d, |a| a.min(d))))
+            .unwrap_or(1.0)
+    }
+
+    /// The log-weighted MIDAS score `s'_p` of entry `i` against `others`.
+    fn score(&mut self, i: usize, others: &[usize]) -> f64 {
+        let div = self.diversity(i, others);
+        let e = &self.entries[i];
+        pattern_score(PatternScoreParts {
+            coverage: e.scov,
+            lcov: e.lcov,
+            div,
+            cog: e.cog,
+        }) * e.weight
+    }
+
+    /// Set-level `(div, cog, lcov)` over the sample for the entries in
+    /// `members` — the quantities sw3–sw5 guard, equal field for field to
+    /// [`midas_catapult::score::set_quality`] over the same set.
+    pub fn set_measures(&mut self, members: &[usize]) -> (f64, f64, f64) {
+        let mut others = Vec::with_capacity(members.len());
+        let mut div = f64::INFINITY;
+        for (k, &i) in members.iter().enumerate() {
+            others.clear();
+            others.extend(members[..k].iter().chain(&members[k + 1..]).copied());
+            div = div.min(self.diversity(i, &others));
+        }
+        let div = if div.is_finite() { div } else { 0.0 };
+        let cog = members
+            .iter()
+            .map(|&i| self.entries[i].cog)
+            .fold(0.0, f64::max);
+        let mut union = vec![0u64; self.sample.len().div_ceil(64)];
+        for &i in members {
+            for (word, bits) in union.iter_mut().zip(&self.covers[self.entries[i].cover]) {
+                *word |= bits;
+            }
+        }
+        let covered: u32 = union.iter().map(|w| w.count_ones()).sum();
+        let lcov = if self.sample.is_empty() {
+            0.0
+        } else {
+            covered as f64 / self.sample.len() as f64
+        };
+        (div, cog, lcov)
+    }
 }
 
 /// Runs the multi-scan swap, mutating `store` and keeping the TP/EP matrix
 /// columns of both indices in sync.
 pub fn multi_scan_swap(
     store: &mut PatternStore,
-    candidates: Vec<LabeledGraph>,
-    ctx: &ScovContext<'_>,
+    candidates: Vec<Candidate>,
+    scope: &SwapScope<'_>,
     params: &SwapParams,
     fct_index: &mut FctIndex,
     ife_index: &mut IfeIndex,
 ) -> SwapOutcome {
-    multi_scan_swap_weighted(store, candidates, ctx, params, fct_index, ife_index, None)
+    multi_scan_swap_weighted(store, candidates, scope, params, fct_index, ife_index, None)
 }
 
 /// The query-log-aware variant (§3.5's extension): pattern and candidate
@@ -126,45 +285,54 @@ pub fn multi_scan_swap(
 /// default.
 pub fn multi_scan_swap_weighted(
     store: &mut PatternStore,
-    candidates: Vec<LabeledGraph>,
-    ctx: &ScovContext<'_>,
+    candidates: Vec<Candidate>,
+    scope: &SwapScope<'_>,
     params: &SwapParams,
     fct_index: &mut FctIndex,
     ife_index: &mut IfeIndex,
-    log: Option<&crate::query_log::QueryLog>,
+    log: Option<&QueryLog>,
 ) -> SwapOutcome {
-    let log_weight = |p: &LabeledGraph| log.map_or(1.0, |l| l.weight(p));
     let mut outcome = SwapOutcome::default();
     if candidates.is_empty() || store.is_empty() {
         return outcome;
     }
-    // Remaining candidate pool across scans, with cached coverage/score.
-    let mut pool: Vec<LabeledGraph> = candidates;
+    let score_span = midas_obs::span!("batch.swap.score");
+    let mut table = ScoreTable::new(scope.sample, scope.catalog, scope.db_len, log);
+    // Entry index of every live pattern, in id order (the store's order;
+    // a swapped-in pattern gets the largest id, so the orders stay equal).
+    let mut slots: BTreeMap<PatternId, usize> = BTreeMap::new();
+    for (id, p) in store.iter() {
+        let covered = scope
+            .pattern_covered
+            .get(&id)
+            .expect("coverage set for every live pattern")
+            .len();
+        slots.insert(id, table.push(p.clone(), covered));
+    }
+    // Remaining candidate pool across scans.
+    let mut pool: Vec<usize> = candidates
+        .into_iter()
+        .map(|c| table.push(c.graph, c.covered.len()))
+        .collect();
+    drop(score_span);
     let mut sigma = 0.25f64;
     let mut kappa = params.kappa;
     loop {
         let _scan_span = midas_obs::span!("batch.swap.scan");
         outcome.scans += 1;
         // Rank candidates by s' descending against the current set.
-        let current = store.graphs();
-        let mut ranked: Vec<(f64, f64, LabeledGraph)> = pool
+        let members: Vec<usize> = slots.values().copied().collect();
+        let mut ranked: Vec<(f64, usize)> = pool
             .iter()
-            .map(|c| {
-                let score = ctx.midas_score(c, &current) * log_weight(c);
-                (score, ctx.scov(c), c.clone())
-            })
+            .map(|&c| (table.score(c, &members), c))
             .collect();
         ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite scores"));
         // Rank patterns by s' ascending.
-        let mut pq_patterns: Vec<(f64, f64, PatternId)> = store
+        let mut pq_patterns: Vec<(f64, PatternId)> = slots
             .iter()
-            .map(|(id, p)| {
-                let others: Vec<LabeledGraph> = store
-                    .iter()
-                    .filter(|(other, _)| *other != id)
-                    .map(|(_, q)| q.clone())
-                    .collect();
-                (ctx.midas_score(p, &others) * log_weight(p), ctx.scov(p), id)
+            .map(|(&id, &i)| {
+                let others: Vec<usize> = members.iter().copied().filter(|&j| j != i).collect();
+                (table.score(i, &others), id)
             })
             .collect();
         pq_patterns.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite scores"));
@@ -172,47 +340,46 @@ pub fn multi_scan_swap_weighted(
         let mut swaps_this_scan = 0;
         let mut consumed: BTreeSet<usize> = BTreeSet::new();
         let mut victim_idx = 0usize;
-        'candidates: for (ci, (cand_score, cand_scov, candidate)) in ranked.iter().enumerate() {
+        for (ci, &(cand_score, cand)) in ranked.iter().enumerate() {
             if victim_idx >= pq_patterns.len() {
                 break;
             }
-            let (victim_score, victim_scov, victim_id) = pq_patterns[victim_idx];
+            let (victim_score, victim_id) = pq_patterns[victim_idx];
+            let victim = slots[&victim_id];
             // sw2 failure terminates the scan (sorted candidates).
-            if *cand_score < (1.0 + params.lambda) * victim_score {
-                break 'candidates;
+            if cand_score < (1.0 + params.lambda) * victim_score {
+                break;
             }
             // sw1: benefit vs loss (Def. 6.2 — the coverage delta).
-            if *cand_scov < (1.0 + kappa) * victim_scov {
+            if table.entries[cand].scov < (1.0 + kappa) * table.entries[victim].scov {
                 continue; // try the next candidate against the same victim
             }
             // sw3–sw5 and the KS guard on the hypothetical P'.
-            let victim_graph = store.get(victim_id).expect("live pattern").clone();
-            let before: Vec<LabeledGraph> = store.graphs();
-            let mut after: Vec<LabeledGraph> = store
+            let before: Vec<usize> = slots.values().copied().collect();
+            let after: Vec<usize> = before
                 .iter()
-                .filter(|(id, _)| *id != victim_id)
-                .map(|(_, p)| p.clone())
+                .copied()
+                .filter(|&i| i != victim)
+                .chain([cand])
                 .collect();
-            after.push(candidate.clone());
-            let (div_before, cog_before, lcov_before) = set_measures(&before, ctx);
-            let (div_after, cog_after, lcov_after) = set_measures(&after, ctx);
+            let (div_before, cog_before, lcov_before) = table.set_measures(&before);
+            let (div_after, cog_after, lcov_after) = table.set_measures(&after);
             let sw3 = div_after >= (1.0 + params.alpha_div) * div_before;
             let sw4 = cog_before * (1.0 + params.alpha_cog) >= cog_after;
             let sw5 = lcov_after >= (1.0 + params.alpha_lcov) * lcov_before;
-            let sizes_before = store.sizes();
-            let mut sizes_after: Vec<usize> = before.iter().map(|p| p.edge_count()).collect();
+            let size = |i: usize| table.entries[i].graph.edge_count();
+            let sizes_before: Vec<usize> = before.iter().map(|&i| size(i)).collect();
+            let mut sizes_after = sizes_before.clone();
             // Replace the victim's size by the candidate's.
-            if let Some(pos) = sizes_after
-                .iter()
-                .position(|&s| s == victim_graph.edge_count())
-            {
-                sizes_after[pos] = candidate.edge_count();
+            if let Some(pos) = sizes_after.iter().position(|&s| s == size(victim)) {
+                sizes_after[pos] = size(cand);
             }
             let ks_ok = distributions_similar(&sizes_before, &sizes_after, params.ks_alpha);
             if !(sw3 && sw4 && sw5 && ks_ok) {
                 continue; // candidate unusable against this victim
             }
             // Swap.
+            let candidate = &table.entries[cand].graph;
             store.remove(victim_id);
             fct_index.remove_pattern(victim_id);
             ife_index.remove_pattern(victim_id);
@@ -221,6 +388,8 @@ pub fn multi_scan_swap_weighted(
                 .expect("candidates were deduplicated against the store");
             fct_index.add_pattern(new_id, candidate);
             ife_index.add_pattern(new_id, candidate);
+            slots.remove(&victim_id);
+            slots.insert(new_id, cand);
             outcome.replaced.push((victim_id, new_id));
             outcome.swaps += 1;
             swaps_this_scan += 1;
@@ -232,7 +401,7 @@ pub fn multi_scan_swap_weighted(
             .into_iter()
             .enumerate()
             .filter(|(i, _)| !consumed.contains(i))
-            .map(|(_, (_, _, c))| c)
+            .map(|(_, (_, c))| c)
             .collect();
         // SWAP_α schedule (Lemma 6.3).
         if swaps_this_scan == 0 || pool.is_empty() || sigma >= 0.5 {
@@ -247,8 +416,9 @@ pub fn multi_scan_swap_weighted(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::candidate_gen::coverage_state;
+    use crate::metrics::ScovContext;
     use midas_graph::{GraphBuilder, GraphDb};
-    use midas_mining::EdgeCatalog;
 
     fn path(labels: &[u32]) -> LabeledGraph {
         let vs: Vec<u32> = (0..labels.len() as u32).collect();
@@ -297,6 +467,47 @@ mod tests {
         }
     }
 
+    /// Covers the store and the candidates over the world's sample, then
+    /// runs the weighted swap.
+    fn swap(
+        w: &mut World,
+        store: &mut PatternStore,
+        candidates: Vec<LabeledGraph>,
+        log: Option<&QueryLog>,
+    ) -> SwapOutcome {
+        let ctx = ScovContext {
+            fct: &w.fct,
+            ife: &w.ife,
+            db: &w.db,
+            sample: &w.sample,
+            catalog: &w.catalog,
+            kernel: None,
+        };
+        let state = coverage_state(store, &ctx);
+        let candidates: Vec<Candidate> = candidates
+            .into_iter()
+            .map(|graph| Candidate {
+                covered: ctx.covered(&graph),
+                graph,
+            })
+            .collect();
+        let scope = SwapScope {
+            sample: &w.sample,
+            catalog: &w.catalog,
+            db_len: w.db.len(),
+            pattern_covered: &state.covered,
+        };
+        multi_scan_swap_weighted(
+            store,
+            candidates,
+            &scope,
+            &params(),
+            &mut w.fct,
+            &mut w.ife,
+            log,
+        )
+    }
+
     #[test]
     fn beneficial_swap_happens() {
         // DB dominated by S-S-S chains; current pattern is a stale C-O-N
@@ -306,22 +517,7 @@ mod tests {
         let mut w = world(graphs);
         let mut store = PatternStore::new();
         store.insert(path(&[0, 1, 2])).unwrap();
-        let ctx = ScovContext {
-            fct: &w.fct.clone(),
-            ife: &w.ife.clone(),
-            db: &w.db,
-            sample: &w.sample,
-            catalog: &w.catalog,
-            kernel: None,
-        };
-        let outcome = multi_scan_swap(
-            &mut store,
-            vec![path(&[3, 3, 3])],
-            &ctx,
-            &params(),
-            &mut w.fct,
-            &mut w.ife,
-        );
+        let outcome = swap(&mut w, &mut store, vec![path(&[3, 3, 3])], None);
         assert_eq!(outcome.swaps, 1);
         assert_eq!(store.len(), 1);
         assert!(store.contains_isomorphic(&path(&[3, 3, 3])));
@@ -336,24 +532,12 @@ mod tests {
         let mut store = PatternStore::new();
         store.insert(path(&[0, 1, 2])).unwrap();
         store.insert(path(&[0, 1, 0])).unwrap();
-        let fct_snapshot = w.fct.clone();
-        let ife_snapshot = w.ife.clone();
-        let ctx = ScovContext {
-            fct: &fct_snapshot,
-            ife: &ife_snapshot,
-            db: &w.db,
-            sample: &w.sample,
-            catalog: &w.catalog,
-            kernel: None,
-        };
         let before = crate::metrics::quality_of(&store.graphs(), &w.db, &w.catalog, &w.sample);
-        multi_scan_swap(
+        swap(
+            &mut w,
             &mut store,
             vec![path(&[3, 3, 3]), path(&[3, 3])],
-            &ctx,
-            &params(),
-            &mut w.fct,
-            &mut w.ife,
+            None,
         );
         let after = crate::metrics::quality_of(&store.graphs(), &w.db, &w.catalog, &w.sample);
         assert!(after.scov >= before.scov, "sw1 guarantees coverage gain");
@@ -368,25 +552,8 @@ mod tests {
         let mut w = world(graphs);
         let mut store = PatternStore::new();
         store.insert(path(&[0, 1, 2])).unwrap();
-        let fct_snapshot = w.fct.clone();
-        let ife_snapshot = w.ife.clone();
-        let ctx = ScovContext {
-            fct: &fct_snapshot,
-            ife: &ife_snapshot,
-            db: &w.db,
-            sample: &w.sample,
-            catalog: &w.catalog,
-            kernel: None,
-        };
         // Candidate covering nothing.
-        let outcome = multi_scan_swap(
-            &mut store,
-            vec![path(&[7, 7, 7])],
-            &ctx,
-            &params(),
-            &mut w.fct,
-            &mut w.ife,
-        );
+        let outcome = swap(&mut w, &mut store, vec![path(&[7, 7, 7])], None);
         assert_eq!(outcome.swaps, 0);
         assert!(store.contains_isomorphic(&path(&[0, 1, 2])));
     }
@@ -395,33 +562,15 @@ mod tests {
     fn empty_inputs_are_noops() {
         let mut w = world(vec![path(&[0, 1])]);
         let mut store = PatternStore::new();
-        let fct_snapshot = w.fct.clone();
-        let ife_snapshot = w.ife.clone();
-        let ctx = ScovContext {
-            fct: &fct_snapshot,
-            ife: &ife_snapshot,
-            db: &w.db,
-            sample: &w.sample,
-            catalog: &w.catalog,
-            kernel: None,
-        };
-        let outcome = multi_scan_swap(
-            &mut store,
-            vec![path(&[0, 1])],
-            &ctx,
-            &params(),
-            &mut w.fct,
-            &mut w.ife,
-        );
+        let outcome = swap(&mut w, &mut store, vec![path(&[0, 1])], None);
         assert_eq!(outcome.swaps, 0, "empty store: nothing to swap");
         store.insert(path(&[0, 1])).unwrap();
-        let outcome2 = multi_scan_swap(&mut store, vec![], &ctx, &params(), &mut w.fct, &mut w.ife);
+        let outcome2 = swap(&mut w, &mut store, vec![], None);
         assert_eq!(outcome2.swaps, 0, "no candidates: nothing to do");
     }
 
     #[test]
     fn query_log_weighting_changes_priorities() {
-        use crate::query_log::QueryLog;
         // Two candidates with similar coverage; the log favours one.
         let mut graphs = vec![path(&[0, 1, 2])];
         graphs.extend(vec![path(&[3, 3, 3]); 4]);
@@ -429,27 +578,14 @@ mod tests {
         let mut w = world(graphs);
         let mut store = PatternStore::new();
         store.insert(path(&[0, 1, 2])).unwrap();
-        let fct_snapshot = w.fct.clone();
-        let ife_snapshot = w.ife.clone();
-        let ctx = ScovContext {
-            fct: &fct_snapshot,
-            ife: &ife_snapshot,
-            db: &w.db,
-            sample: &w.sample,
-            catalog: &w.catalog,
-            kernel: None,
-        };
         let mut log = QueryLog::new(16);
         for _ in 0..5 {
             log.record(path(&[4, 4, 4, 4]));
         }
-        let outcome = crate::swap::multi_scan_swap_weighted(
+        let outcome = swap(
+            &mut w,
             &mut store,
             vec![path(&[3, 3, 3]), path(&[4, 4, 4])],
-            &ctx,
-            &params(),
-            &mut w.fct,
-            &mut w.ife,
             Some(&log),
         );
         assert!(outcome.swaps >= 1);
@@ -469,24 +605,7 @@ mod tests {
         let old_id = store.insert(path(&[0, 1, 2])).unwrap();
         w.fct.add_pattern(old_id, &path(&[0, 1, 2]));
         w.ife.add_pattern(old_id, &path(&[0, 1, 2]));
-        let fct_snapshot = w.fct.clone();
-        let ife_snapshot = w.ife.clone();
-        let ctx = ScovContext {
-            fct: &fct_snapshot,
-            ife: &ife_snapshot,
-            db: &w.db,
-            sample: &w.sample,
-            catalog: &w.catalog,
-            kernel: None,
-        };
-        let outcome = multi_scan_swap(
-            &mut store,
-            vec![path(&[3, 3, 3])],
-            &ctx,
-            &params(),
-            &mut w.fct,
-            &mut w.ife,
-        );
+        let outcome = swap(&mut w, &mut store, vec![path(&[3, 3, 3])], None);
         assert_eq!(outcome.swaps, 1);
         let (removed, added) = outcome.replaced[0];
         assert_eq!(removed, old_id);

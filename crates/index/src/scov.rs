@@ -52,47 +52,30 @@ pub fn profile_pattern(fct: &FctIndex, ife: &IfeIndex, pattern: &LabeledGraph) -
 /// Returns the ids of graphs whose index columns dominate `profile` —
 /// the candidate set that still needs isomorphism verification.
 ///
-/// `universe` bounds the candidates (e.g. a sampled database `D_s`); pass
-/// `None` to consider every graph appearing in the matrices. When the
-/// profile is empty the filter is vacuous and the whole universe returns.
+/// `universe` bounds the candidates (e.g. a sampled database `D_s`). When
+/// the profile is empty the filter is vacuous and the whole universe
+/// returns. Each universe member is checked by point lookups: the sample
+/// is far smaller than a matrix row, which spans the whole database.
 pub fn candidate_graphs(
     fct: &FctIndex,
     ife: &IfeIndex,
     profile: &PatternProfile,
     universe: &BTreeSet<GraphId>,
 ) -> BTreeSet<GraphId> {
-    fn intersect(candidates: &mut Option<BTreeSet<GraphId>>, survivors: BTreeSet<GraphId>) {
-        *candidates = Some(match candidates.take() {
-            None => survivors,
-            Some(old) => old.intersection(&survivors).copied().collect(),
-        });
-    }
-    let mut candidates: Option<BTreeSet<GraphId>> = None;
-    for &(fid, need) in &profile.fct_counts {
-        let survivors: BTreeSet<GraphId> = fct
-            .tg()
-            .row(fid)
-            .filter(|&(id, c)| c >= need && universe.contains(&id))
-            .map(|(id, _)| id)
-            .collect();
-        intersect(&mut candidates, survivors);
-        if candidates.as_ref().is_some_and(|c| c.is_empty()) {
-            return BTreeSet::new();
-        }
-    }
-    for &(label, need) in &profile.ife_counts {
-        let survivors: BTreeSet<GraphId> = ife
-            .eg()
-            .row(label)
-            .filter(|&(id, c)| c >= need && universe.contains(&id))
-            .map(|(id, _)| id)
-            .collect();
-        intersect(&mut candidates, survivors);
-        if candidates.as_ref().is_some_and(|c| c.is_empty()) {
-            return BTreeSet::new();
-        }
-    }
-    candidates.unwrap_or_else(|| universe.clone())
+    universe
+        .iter()
+        .copied()
+        .filter(|&id| {
+            profile
+                .fct_counts
+                .iter()
+                .all(|&(fid, need)| fct.tg().get(fid, id) >= need)
+                && profile
+                    .ife_counts
+                    .iter()
+                    .all(|&(label, need)| ife.eg().get(label, id) >= need)
+        })
+        .collect()
 }
 
 /// Computes the exact set of graphs in `universe` containing `pattern`,

@@ -18,10 +18,13 @@
 //!    recounting graphlets over a reference world.
 //! 4. **`ged_bounds`** — the GED lower-bound chain
 //!    `label ≤ tight ≤ exact` on random and adversarial boundary pairs.
-//! 5. **`multi_scan_swap`** — kernel-backed vs serial-reference swap runs
-//!    must agree exactly; set measures guarded by sw3–sw5 must not
-//!    degrade; a single accepted swap must replay sw1 against
-//!    brute-force coverage.
+//! 5. **`multi_scan_swap`** — the production swap (one scoring table per
+//!    run) vs the naive swap in [`reference_swap`] (every scan re-scores
+//!    everything), and kernel-covered vs serially covered production runs,
+//!    must agree exactly on outcome and final set, log-oblivious and
+//!    query-log-weighted; set measures guarded by sw3–sw5 must not
+//!    degrade; a single accepted swap must replay sw1 against brute-force
+//!    coverage.
 //! 6. **`plan_vs_vf2`** — the plan-compiled CSR matcher
 //!    ([`midas_graph::plan`]) vs the VF2 reference on random pairs:
 //!    capped counts at several caps, coverage booleans, and the full
@@ -46,10 +49,13 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use midas_catapult::score::diversity;
+pub mod reference_swap;
+
+use midas_core::candidate_gen::{coverage_state, Candidate};
 use midas_core::metrics::ScovContext;
 use midas_core::monitor::GraphletMonitor;
-use midas_core::swap::{multi_scan_swap, SwapOutcome, SwapParams};
+use midas_core::query_log::QueryLog;
+use midas_core::swap::{multi_scan_swap_weighted, SwapOutcome, SwapParams, SwapScope};
 use midas_core::{Midas, MidasConfig, PatternStore};
 use midas_datagen::{deletion_batch, growth_batch, query_set, DatasetKind, DatasetSpec};
 use midas_graph::exec::set_fault_for_tests;
@@ -528,17 +534,19 @@ impl Oracle {
         cases
     }
 
-    /// Check 5: multi-scan swap — kernel/serial parity, sw3–sw5 set-level
-    /// monotonicity, and an sw1 replay against brute-force coverage.
+    /// Check 5: multi-scan swap — production vs the naive reference
+    /// ([`reference_swap`]), kernel/serial coverage parity, sw3–sw5
+    /// set-level monotonicity, and an sw1 replay against brute-force
+    /// coverage. Runs log-oblivious and query-log-weighted worlds.
     fn check_swap(&self, out: &mut Vec<Divergence>) -> usize {
         let mut cases = 0;
-        // World A: a synthetic database engineered so exactly one
-        // beneficial swap exists (stale C-O-N pattern vs dominant S-S-S
-        // chains) — the brute-force sw1 replay has a real swap to audit.
         let path = |labels: &[u32]| {
             let vs: Vec<u32> = (0..labels.len() as u32).collect();
             GraphBuilder::new().vertices(labels).path(&vs).build()
         };
+        // World A: a synthetic database engineered so exactly one
+        // beneficial swap exists (stale C-O-N pattern vs dominant S-S-S
+        // chains) — the brute-force sw1 replay has a real swap to audit.
         let mut synthetic = vec![path(&[0, 1, 2])];
         synthetic.extend(vec![path(&[3, 3, 3]); 5]);
         cases += self.swap_world(
@@ -546,10 +554,28 @@ impl Oracle {
             GraphDb::from_graphs(synthetic),
             vec![path(&[0, 1, 2])],
             vec![path(&[3, 3, 3])],
+            None,
             out,
         );
-        // World B: a messier generated world — parity and monotonicity
-        // under realistic molecules.
+        // World B: two equally covering families compete for one slot and
+        // a query log favours one — the weighted path decides the swap.
+        let mut logged = vec![path(&[0, 1, 2])];
+        logged.extend(vec![path(&[3, 3, 3]); 4]);
+        logged.extend(vec![path(&[4, 4, 4]); 4]);
+        let mut log = QueryLog::new(16);
+        for _ in 0..5 {
+            log.record(path(&[4, 4, 4, 4]));
+        }
+        cases += self.swap_world(
+            "synthetic, query log",
+            GraphDb::from_graphs(logged),
+            vec![path(&[0, 1, 2])],
+            vec![path(&[3, 3, 3]), path(&[4, 4, 4])],
+            Some(&log),
+            out,
+        );
+        // World C: a messier generated world — parity and monotonicity
+        // under realistic molecules, with and without a query log.
         let db = DatasetSpec::new(DatasetKind::AidsLike, 14, self.seed ^ 0x40)
             .generate()
             .db;
@@ -571,18 +597,40 @@ impl Oracle {
             }
         }
         if !initial.is_empty() && !candidates.is_empty() {
-            cases += self.swap_world("generated", db, initial, candidates, out);
+            let mut log = QueryLog::new(16);
+            for q in query_set(&db, 6, (2, 5), self.seed ^ 0x42) {
+                log.record(q);
+            }
+            cases += self.swap_world(
+                "generated",
+                db.clone(),
+                initial.clone(),
+                candidates.clone(),
+                None,
+                out,
+            );
+            cases += self.swap_world(
+                "generated, query log",
+                db,
+                initial,
+                candidates,
+                Some(&log),
+                out,
+            );
         }
         cases
     }
 
-    /// Runs one swap world through both scov paths and audits the result.
+    /// Runs one swap world through the production swap (with coverage from
+    /// the kernel-backed and from the serial context) and through the
+    /// naive reference, and audits the results.
     fn swap_world(
         &self,
         world: &str,
         db: GraphDb,
         initial: Vec<LabeledGraph>,
         candidates: Vec<LabeledGraph>,
+        log: Option<&QueryLog>,
         out: &mut Vec<Divergence>,
     ) -> usize {
         let refs: Vec<(GraphId, &LabeledGraph)> =
@@ -592,83 +640,104 @@ impl Oracle {
         let params = SwapParams::default();
         let kernel = MatchKernel::new(2);
 
-        let run = |use_kernel: bool| -> SwapRunResult {
-            let mut store = PatternStore::new();
-            for p in &initial {
-                store.insert(p.clone());
-            }
+        // A fresh store holding `initial`, and indices with its columns.
+        let fresh = || {
+            let store = PatternStore::from_patterns(initial.iter().cloned());
             let before: BTreeMap<PatternId, LabeledGraph> =
                 store.iter().map(|(id, p)| (id, p.clone())).collect();
             let pattern_refs: Vec<(PatternId, &LabeledGraph)> =
                 before.iter().map(|(&id, p)| (id, p)).collect();
-            let mut fct = FctIndex::build(
+            let fct = FctIndex::build(
                 std::iter::empty::<(TreeKey, &LabeledGraph)>(),
                 refs.iter().copied(),
                 pattern_refs.iter().copied(),
             );
-            let mut ife = IfeIndex::build(
+            let ife = IfeIndex::build(
                 BTreeSet::new(),
                 refs.iter().copied(),
                 pattern_refs.iter().copied(),
             );
-            let fct_snapshot = fct.clone();
-            let ife_snapshot = ife.clone();
+            (store, before, fct, ife)
+        };
+        let production = |use_kernel: bool| -> SwapRunResult {
+            let (mut store, before, mut fct, mut ife) = fresh();
+            let ctx = ScovContext {
+                fct: &fct,
+                ife: &ife,
+                db: &db,
+                sample: &sample,
+                catalog: &catalog,
+                kernel: if use_kernel { Some(&kernel) } else { None },
+            };
+            let state = coverage_state(&store, &ctx);
+            let covered: Vec<Candidate> = candidates
+                .iter()
+                .map(|g| Candidate {
+                    graph: g.clone(),
+                    covered: ctx.covered(g),
+                })
+                .collect();
+            let scope = SwapScope {
+                sample: &sample,
+                catalog: &catalog,
+                db_len: db.len(),
+                pattern_covered: &state.covered,
+            };
+            let outcome = multi_scan_swap_weighted(
+                &mut store, covered, &scope, &params, &mut fct, &mut ife, log,
+            );
+            (outcome, store.graphs(), before, store)
+        };
+        let reference = || -> SwapRunResult {
+            let (mut store, before, mut fct, mut ife) = fresh();
+            let (fct_snapshot, ife_snapshot) = (fct.clone(), ife.clone());
             let ctx = ScovContext {
                 fct: &fct_snapshot,
                 ife: &ife_snapshot,
                 db: &db,
                 sample: &sample,
                 catalog: &catalog,
-                kernel: if use_kernel { Some(&kernel) } else { None },
+                kernel: None,
             };
-            let outcome = multi_scan_swap(
+            let outcome = reference_swap::multi_scan_swap(
                 &mut store,
                 candidates.clone(),
                 &ctx,
                 &params,
                 &mut fct,
                 &mut ife,
+                log,
             );
-            let graphs = store.graphs();
-            (outcome, graphs, before, store)
+            (outcome, store.graphs(), before, store)
         };
 
-        let (fast_out, fast_set, before_map, _store_fast) = run(true);
-        let (ref_out, ref_set, _, _store_ref) = run(false);
+        let fast = production(true);
+        let serial = production(false);
+        let naive = reference();
         let mut cases = 0;
 
-        // Parity: the memoized-kernel run and the serial reference run
-        // must make identical decisions.
-        cases += 1;
-        if fast_out.swaps != ref_out.swaps
-            || fast_out.scans != ref_out.scans
-            || fast_out.replaced != ref_out.replaced
-            || fast_set != ref_set
-        {
-            out.push(Divergence {
-                check: "multi_scan_swap",
-                case: format!("{world}: kernel/serial parity"),
-                expected: format!(
-                    "swaps {}, scans {}, {} final patterns (serial reference)",
-                    ref_out.swaps,
-                    ref_out.scans,
-                    ref_set.len()
-                ),
-                actual: format!(
-                    "swaps {}, scans {}, {} final patterns (kernel)",
-                    fast_out.swaps,
-                    fast_out.scans,
-                    fast_set.len()
-                ),
-                witness: None,
-            });
+        // Parity: identical decisions and final sets — the kernel-covered
+        // run against the serially covered run, and the production swap
+        // against the naive reference.
+        for (case, (expected, expected_name)) in [
+            (
+                "kernel/serial coverage parity",
+                (&serial, "serial coverage"),
+            ),
+            ("production/reference parity", (&naive, "naive reference")),
+        ] {
+            cases += 1;
+            if let Some(divergence) = swap_divergence(world, case, expected, expected_name, &fast) {
+                out.push(divergence);
+            }
         }
 
         // sw3–sw5 set-level monotonicity: diversity and label coverage
         // must not drop, cognitive load must not rise.
+        let (fast_out, fast_set, before_map, fast_store) = &fast;
         let initial_set: Vec<LabeledGraph> = before_map.values().cloned().collect();
-        let (div0, cog0, lcov0) = set_measures(&initial_set, &catalog, &sample);
-        let (div1, cog1, lcov1) = set_measures(&ref_set, &catalog, &sample);
+        let (div0, cog0, lcov0) = reference_swap::set_measures(&initial_set, &catalog, &sample);
+        let (div1, cog1, lcov1) = reference_swap::set_measures(fast_set, &catalog, &sample);
         cases += 1;
         if div1 + 1e-9 < div0 || cog1 > cog0 + 1e-9 || lcov1 + 1e-9 < lcov0 {
             out.push(Divergence {
@@ -683,10 +752,10 @@ impl Oracle {
         // sw1 replay: a single accepted swap necessarily happened in scan
         // 1 (a swapless scan ends the loop), so the first-scan κ applies.
         // Recompute both coverages brute-force and re-check the criterion.
-        if ref_out.swaps == 1 {
-            let (victim_id, new_id) = ref_out.replaced[0];
+        if fast_out.swaps == 1 {
+            let (victim_id, new_id) = fast_out.replaced[0];
             let victim = before_map.get(&victim_id).cloned();
-            let candidate = _store_ref.get(new_id).cloned();
+            let candidate = fast_store.get(new_id).cloned();
             if let (Some(victim), Some(candidate)) = (victim, candidate) {
                 let victim_scov = brute_scov(&victim, &db, &sample);
                 let cand_scov = brute_scov(&candidate, &db, &sample);
@@ -898,6 +967,39 @@ type SwapRunResult = (
     PatternStore,
 );
 
+/// A parity divergence when `actual` made other swap decisions than
+/// `expected` or ended on another pattern set.
+fn swap_divergence(
+    world: &str,
+    case: &str,
+    expected: &SwapRunResult,
+    expected_name: &str,
+    actual: &SwapRunResult,
+) -> Option<Divergence> {
+    let (e_out, e_set, _, _) = expected;
+    let (a_out, a_set, _, _) = actual;
+    let same = e_out.swaps == a_out.swaps
+        && e_out.scans == a_out.scans
+        && e_out.replaced == a_out.replaced
+        && e_set == a_set;
+    let describe = |o: &SwapOutcome, set: &[LabeledGraph], name: &str| {
+        format!(
+            "swaps {}, scans {}, replaced {:?}, {} final patterns ({name})",
+            o.swaps,
+            o.scans,
+            o.replaced,
+            set.len()
+        )
+    };
+    (!same).then(|| Divergence {
+        check: "multi_scan_swap",
+        case: format!("{world}: {case}"),
+        expected: describe(e_out, e_set, expected_name),
+        actual: describe(a_out, a_set, "production"),
+        witness: None,
+    })
+}
+
 /// The frequent-closed-tree view of a state as a comparable map.
 fn fct_map(state: &FctState, db_len: usize) -> BTreeMap<TreeKey, BTreeSet<GraphId>> {
     state
@@ -1016,48 +1118,6 @@ fn graphs_isomorphic(a: &LabeledGraph, b: &LabeledGraph) -> bool {
         && a.edge_count() == b.edge_count()
         && a.sorted_labels() == b.sorted_labels()
         && is_subgraph_of(a, b)
-}
-
-/// Mirror of the swap module's private `set_measures`: the exact
-/// quantities sw3–sw5 guard (min diversity, max cognitive load, sampled
-/// label coverage).
-fn set_measures(
-    patterns: &[LabeledGraph],
-    catalog: &EdgeCatalog,
-    sample: &BTreeSet<GraphId>,
-) -> (f64, f64, f64) {
-    let div = patterns
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let others: Vec<LabeledGraph> = patterns
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, q)| q.clone())
-                .collect();
-            diversity(p, &others)
-        })
-        .fold(f64::INFINITY, f64::min);
-    let div = if div.is_finite() { div } else { 0.0 };
-    let cog = patterns
-        .iter()
-        .map(|p| p.cognitive_load())
-        .fold(0.0, f64::max);
-    let mut union: BTreeSet<GraphId> = BTreeSet::new();
-    for p in patterns {
-        for label in p.edge_labels() {
-            if let Some(stats) = catalog.get(label) {
-                union.extend(stats.support.intersection(sample).copied());
-            }
-        }
-    }
-    let lcov = if sample.is_empty() {
-        0.0
-    } else {
-        union.len() as f64 / sample.len() as f64
-    };
-    (div, cog, lcov)
 }
 
 /// Brute-force `scov`: the sampled-containment fraction via serial VF2,

@@ -2,15 +2,52 @@
 //! maintenance §4.4), the index matrices (§5.1), and the swap guarantees
 //! (§6.2).
 
+use midas_core::candidate_gen::{coverage_state, Candidate};
 use midas_core::metrics::ScovContext;
 use midas_core::patterns::PatternStore;
-use midas_core::swap::{multi_scan_swap, SwapParams};
+use midas_core::swap::{multi_scan_swap, ScoreTable, SwapOutcome, SwapParams, SwapScope};
 use midas_graph::{ClosureGraph, GraphDb, GraphId, LabeledGraph};
 use midas_index::{FctIndex, IfeIndex, PatternId};
 use midas_mining::EdgeCatalog;
 use midas_tests::connected_graph_strategy;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+
+/// Covers the store and `candidates` over `sample` (serial context), then
+/// runs the multi-scan swap with default parameters.
+fn covered_swap(
+    store: &mut PatternStore,
+    candidates: Vec<LabeledGraph>,
+    db: &GraphDb,
+    catalog: &EdgeCatalog,
+    sample: &BTreeSet<GraphId>,
+    fct: &mut FctIndex,
+    ife: &mut IfeIndex,
+) -> SwapOutcome {
+    let ctx = ScovContext {
+        fct,
+        ife,
+        db,
+        sample,
+        catalog,
+        kernel: None,
+    };
+    let state = coverage_state(store, &ctx);
+    let candidates: Vec<Candidate> = candidates
+        .into_iter()
+        .map(|graph| Candidate {
+            covered: ctx.covered(&graph),
+            graph,
+        })
+        .collect();
+    let scope = SwapScope {
+        sample,
+        catalog,
+        db_len: db.len(),
+        pattern_covered: &state.covered,
+    };
+    multi_scan_swap(store, candidates, &scope, &SwapParams::default(), fct, ife)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -127,25 +164,8 @@ proptest! {
             store.insert(p);
         }
         prop_assume!(!store.is_empty());
-        let fct_snapshot = fct.clone();
-        let ife_snapshot = ife.clone();
-        let ctx = ScovContext {
-            fct: &fct_snapshot,
-            ife: &ife_snapshot,
-            db: &db,
-            sample: &sample,
-            catalog: &catalog,
-            kernel: None,
-        };
         let before = midas_core::quality_of(&store.graphs(), &db, &catalog, &sample);
-        multi_scan_swap(
-            &mut store,
-            candidates,
-            &ctx,
-            &SwapParams::default(),
-            &mut fct,
-            &mut ife,
-        );
+        covered_swap(&mut store, candidates, &db, &catalog, &sample, &mut fct, &mut ife);
         let after = midas_core::quality_of(&store.graphs(), &db, &catalog, &sample);
         prop_assert!(after.scov >= before.scov - 1e-9, "sw1: {} -> {}", before.scov, after.scov);
         prop_assert!(after.div >= before.div - 1e-9, "sw3: {} -> {}", before.div, after.div);
@@ -178,24 +198,40 @@ proptest! {
         store.insert(midas_tests::path(&[0, 1, 0]));
         store.insert(midas_tests::path(&[1, 0, 1]));
         let gamma = store.len();
-        let fct_snapshot = fct.clone();
-        let ife_snapshot = ife.clone();
-        let ctx = ScovContext {
-            fct: &fct_snapshot,
-            ife: &ife_snapshot,
-            db: &db,
-            sample: &sample,
-            catalog: &catalog,
-            kernel: None,
-        };
-        multi_scan_swap(
-            &mut store,
-            candidates,
-            &ctx,
-            &SwapParams::default(),
-            &mut fct,
-            &mut ife,
-        );
+        covered_swap(&mut store, candidates, &db, &catalog, &sample, &mut fct, &mut ife);
         prop_assert_eq!(store.len(), gamma);
+    }
+
+    /// The swap's scoring table and GED matrix derive the same set-level
+    /// `(div, cog, lcov)` as `set_quality`, field for field, for random
+    /// pattern subsets over a random sample.
+    #[test]
+    fn score_table_set_measures_match_set_quality(
+        db_graphs in proptest::collection::vec(connected_graph_strategy(6, 3), 2..9),
+        patterns in proptest::collection::vec(connected_graph_strategy(5, 3), 0..6),
+        sample_mask in proptest::collection::vec(0..2u8, 9),
+        subset_mask in proptest::collection::vec(0..2u8, 6),
+    ) {
+        let db = GraphDb::from_graphs(db_graphs);
+        let refs: Vec<(GraphId, &LabeledGraph)> =
+            db.iter().map(|(id, g)| (id, g.as_ref())).collect();
+        let catalog = EdgeCatalog::build(refs.iter().copied());
+        let sample: BTreeSet<GraphId> = db
+            .ids()
+            .zip(&sample_mask)
+            .filter(|&(_, &keep)| keep == 1)
+            .map(|(id, _)| id)
+            .collect();
+        let mut table = ScoreTable::new(&sample, &catalog, db.len(), None);
+        let entries: Vec<usize> = patterns.iter().map(|p| table.push(p.clone(), 0)).collect();
+        let (subset, members): (Vec<LabeledGraph>, Vec<usize>) = patterns
+            .iter()
+            .zip(&entries)
+            .zip(&subset_mask)
+            .filter(|&(_, &keep)| keep == 1)
+            .map(|((p, &i), _)| (p.clone(), i))
+            .unzip();
+        let q = midas_catapult::score::set_quality(&subset, &db, &catalog, &sample);
+        prop_assert_eq!(table.set_measures(&members), (q.div, q.cog, q.lcov));
     }
 }

@@ -80,6 +80,7 @@ fn phase_spans_tile_pattern_maintenance_time() {
     assert!(telemetry.counter("monitor.major") == 1, "wave drifts");
     assert_eq!(telemetry.span("batch.candidates").count, 1);
     assert_eq!(telemetry.span("batch.swap").count, 1);
+    assert_eq!(telemetry.span("batch.swap.score").count, 1);
     assert!(telemetry.span("batch.swap.scan").count >= 1);
 }
 
