@@ -3,7 +3,7 @@
 //! lines 1–2 and 6–7).
 
 use crate::features::{FeatureSpace, FeatureVector};
-use crate::fine::fine_cluster;
+use crate::fine::{fine_cluster, FineGroup, SeedSimilarities};
 use crate::kmeans::{dist2_to_centroid, kmeans};
 use midas_graph::{ClosureGraph, GraphDb, GraphId, LabeledGraph};
 use midas_mining::TreeLattice;
@@ -26,6 +26,9 @@ pub struct Cluster {
     members: BTreeSet<GraphId>,
     centroid: Vec<f64>,
     csg: ClosureGraph,
+    /// The fine-clustering seed that formed the cluster and its known
+    /// similarities, at most one per member; reused by the next split.
+    seed: Option<SeedSimilarities>,
     dirty: bool,
 }
 
@@ -55,6 +58,15 @@ impl Cluster {
         &self.centroid
     }
 
+    /// The fine-clustering seed that formed this cluster, with
+    /// `ω_MCCS(seed, m)` for every member `m` still present from that
+    /// round. `None` when no seed round formed the cluster or the seed was
+    /// deleted. Members assigned since carry no entry until the next split
+    /// scores them.
+    pub fn seed_similarities(&self) -> Option<&SeedSimilarities> {
+        self.seed.as_ref()
+    }
+
     /// Whether the cluster changed since the last
     /// [`ClusterSet::take_dirty`].
     pub fn is_dirty(&self) -> bool {
@@ -75,6 +87,9 @@ pub struct ClusterConfig {
     pub kmeans_max_iterations: usize,
     /// Seed for k-means++.
     pub seed: u64,
+    /// Worker threads for fine-clustering MCCS scoring and CSG builds;
+    /// `0` means auto (see [`midas_graph::exec::thread_count`]).
+    pub threads: usize,
 }
 
 impl Default for ClusterConfig {
@@ -85,6 +100,7 @@ impl Default for ClusterConfig {
             mccs_budget: 2_000,
             kmeans_max_iterations: 30,
             seed: 0,
+            threads: 0,
         }
     }
 }
@@ -130,21 +146,19 @@ impl ClusterSet {
             coarse.entry(slot).or_default().push(id);
         }
         // Fine-cluster oversized groups.
-        let mut groups: Vec<Vec<GraphId>> = Vec::new();
+        let mut groups: Vec<FineGroup> = Vec::new();
         for members in coarse.into_values() {
-            if members.len() <= config.max_cluster_size {
-                groups.push(members);
-            } else {
-                let with_graphs: Vec<(GraphId, &LabeledGraph)> = members
-                    .iter()
-                    .map(|&id| (id, db.get(id).expect("live id").as_ref()))
-                    .collect();
-                groups.extend(fine_cluster(
-                    &with_graphs,
-                    config.max_cluster_size,
-                    config.mccs_budget,
-                ));
-            }
+            let with_graphs: Vec<(GraphId, &LabeledGraph)> = members
+                .iter()
+                .map(|&id| (id, db.get(id).expect("live id").as_ref()))
+                .collect();
+            groups.extend(fine_cluster(
+                &with_graphs,
+                None,
+                config.max_cluster_size,
+                config.mccs_budget,
+                config.threads,
+            ));
         }
         let mut set = ClusterSet {
             config,
@@ -158,14 +172,15 @@ impl ClusterSet {
             set.member_vectors.insert(id, vectors[i].clone());
         }
         // Build CSGs in parallel (one closure per cluster).
-        let csgs: Vec<ClosureGraph> = build_csgs_parallel(db, &groups);
-        for (members, csg) in groups.into_iter().zip(csgs) {
-            set.install_cluster(members, csg);
+        let csgs: Vec<ClosureGraph> = build_csgs_parallel(db, &groups, config.threads);
+        for (group, csg) in groups.into_iter().zip(csgs) {
+            set.install_cluster(group, csg);
         }
         set
     }
 
-    fn install_cluster(&mut self, members: Vec<GraphId>, csg: ClosureGraph) -> ClusterId {
+    fn install_cluster(&mut self, group: FineGroup, csg: ClosureGraph) -> ClusterId {
+        let FineGroup { members, seed } = group;
         let id = ClusterId(self.next_id);
         self.next_id += 1;
         let centroid = self.mean_vector(&members);
@@ -178,6 +193,7 @@ impl ClusterSet {
                 members: members.into_iter().collect(),
                 centroid,
                 csg,
+                seed,
                 dirty: true,
             },
         );
@@ -275,7 +291,11 @@ impl ClusterSet {
             // First graph ever: create a singleton cluster.
             let mut csg = ClosureGraph::new();
             csg.insert_graph(id, graph);
-            return vec![self.install_cluster(vec![id], csg)];
+            let group = FineGroup {
+                members: vec![id],
+                seed: None,
+            };
+            return vec![self.install_cluster(group, csg)];
         };
         {
             let cluster = self.clusters.get_mut(&target).expect("target exists");
@@ -309,6 +329,11 @@ impl ClusterSet {
         let cluster = self.clusters.get_mut(&cid).expect("membership consistent");
         cluster.members.remove(&id);
         cluster.csg.remove_graph(id, graph);
+        if cluster.seed.as_ref().is_some_and(|s| s.seed == id) {
+            cluster.seed = None;
+        } else if let Some(seed) = &mut cluster.seed {
+            seed.sims.remove(&id);
+        }
         cluster.dirty = true;
         let m = cluster.members.len() as f64;
         if m == 0.0 {
@@ -326,30 +351,37 @@ impl ClusterSet {
     }
 
     /// Splits an oversized cluster via fine clustering; the original cluster
-    /// is replaced by the resulting groups (fresh ids, fresh CSGs).
+    /// is replaced by the resulting groups (fresh ids, fresh CSGs). The
+    /// cluster's kept seed similarities spare the MCCS calls they cover.
     fn split(&mut self, db: &GraphDb, cid: ClusterId) -> Vec<ClusterId> {
-        let cluster = self.clusters.remove(&cid).expect("cluster exists");
-        let members: Vec<GraphId> = cluster.members.iter().copied().collect();
-        for id in &members {
-            self.membership.remove(id);
-        }
-        let with_graphs: Vec<(GraphId, &LabeledGraph)> = members
+        let _span = midas_obs::span!("batch.cluster.split");
+        let cluster = &self.clusters[&cid];
+        let with_graphs: Vec<(GraphId, &LabeledGraph)> = cluster
+            .members
             .iter()
             .map(|&id| (id, db.get(id).expect("live id").as_ref()))
             .collect();
         let groups = fine_cluster(
             &with_graphs,
+            cluster.seed.as_ref(),
             self.config.max_cluster_size,
             self.config.mccs_budget,
+            self.config.threads,
         );
+        let csgs = build_csgs_parallel(db, &groups, self.config.threads);
         midas_obs::obs_debug!(
             "cluster::clusters",
             "fine-clustered oversized cluster of {} members into {} groups",
-            members.len(),
+            with_graphs.len(),
             groups.len()
         );
         midas_obs::counter_add!("cluster.splits", 1);
-        let csgs = build_csgs_parallel(db, &groups);
+        // Replace the cluster only now that every fan-out has returned, so
+        // a panicking task leaves the set as it was.
+        let cluster = self.clusters.remove(&cid).expect("cluster exists");
+        for id in &cluster.members {
+            self.membership.remove(id);
+        }
         groups
             .into_iter()
             .zip(csgs)
@@ -378,8 +410,8 @@ fn norm2(c: &[f64]) -> f64 {
 
 /// Builds one CSG per group, distributing groups across threads with the
 /// shared execution helpers ([`midas_graph::exec`]).
-fn build_csgs_parallel(db: &GraphDb, groups: &[Vec<GraphId>]) -> Vec<ClosureGraph> {
-    midas_graph::exec::par_map(0, groups, |group| build_one_csg(db, group))
+fn build_csgs_parallel(db: &GraphDb, groups: &[FineGroup], threads: usize) -> Vec<ClosureGraph> {
+    midas_graph::exec::par_map(threads, groups, |group| build_one_csg(db, &group.members))
 }
 
 fn build_one_csg(db: &GraphDb, group: &[GraphId]) -> ClosureGraph {
@@ -531,6 +563,70 @@ mod tests {
         assert!(affected.len() >= 2, "split must create clusters");
         assert!(set.iter().all(|(_, c)| c.len() <= 3));
         assert_eq!(set.total_members(), 4);
+    }
+
+    fn stored_similarities(set: &ClusterSet) -> usize {
+        set.iter()
+            .filter_map(|(_, c)| c.seed_similarities())
+            .map(|s| s.sims.len())
+            .sum()
+    }
+
+    /// A cluster formed by a seed round, with at least one non-seed member.
+    fn seeded_cluster(set: &ClusterSet) -> (ClusterId, GraphId, GraphId) {
+        set.iter()
+            .find_map(|(cid, c)| {
+                let seed = c.seed_similarities()?;
+                let member = *seed.sims.keys().next()?;
+                Some((cid, seed.seed, member))
+            })
+            .expect("a seeded cluster")
+    }
+
+    #[test]
+    fn split_keeps_seed_similarities_within_membership() {
+        let mut db = GraphDb::from_graphs((0..3).map(|i| path(&[0, 1, i % 2])));
+        let (mut set, lattice) = build_set(&db, 1, 3);
+        for i in 0..6 {
+            let id = db.insert(path(&[0, 1, 0, i % 2]));
+            let graph = db.get(id).unwrap().clone();
+            set.assign(&db, &lattice, id, &graph);
+            assert!(stored_similarities(&set) <= set.total_members());
+            for (_, cluster) in set.iter() {
+                if let Some(seed) = cluster.seed_similarities() {
+                    assert!(cluster.members().contains(&seed.seed));
+                    assert!(!seed.sims.contains_key(&seed.seed));
+                    assert!(seed.sims.keys().all(|m| cluster.members().contains(m)));
+                }
+            }
+        }
+        assert!(
+            stored_similarities(&set) > 0,
+            "splits formed seeded clusters"
+        );
+    }
+
+    #[test]
+    fn removing_a_member_drops_its_similarity() {
+        let db = two_family_db();
+        let (mut set, _) = build_set(&db, 1, 3);
+        let (cid, seed, member) = seeded_cluster(&set);
+        let before = set.get(cid).unwrap().seed_similarities().unwrap().clone();
+        set.remove(member, &db.get(member).unwrap().clone());
+        let after = set.get(cid).unwrap().seed_similarities().unwrap();
+        assert_eq!(after.seed, seed);
+        assert!(!after.sims.contains_key(&member));
+        assert_eq!(after.sims.len(), before.sims.len() - 1);
+    }
+
+    #[test]
+    fn removing_the_seed_clears_the_similarities() {
+        let db = two_family_db();
+        let (mut set, _) = build_set(&db, 1, 3);
+        let (cid, seed, _) = seeded_cluster(&set);
+        set.remove(seed, &db.get(seed).unwrap().clone());
+        let cluster = set.get(cid).expect("other members remain");
+        assert!(cluster.seed_similarities().is_none());
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * [`mod@kmeans`] — k-means with k-means++ seeding over those vectors
 //!   (the *coarse clustering* step).
 //! * [`fine`] — MCCS-similarity-based splitting of oversized coarse
-//!   clusters (the *fine clustering* step, max cluster size `N`).
+//!   clusters (the *fine clustering* step, max cluster size `N`), reusing
+//!   the seed similarities a cluster kept from its last split.
 //! * [`clusters`] — the [`ClusterSet`]: clusters with centroids and CSGs,
 //!   plus the incremental maintenance of §4.3 (assign / remove /
 //!   re-fine-cluster) and §4.4 (CSG edge-support updates).
@@ -24,4 +25,5 @@ pub mod kmeans;
 
 pub use clusters::{Cluster, ClusterConfig, ClusterId, ClusterSet};
 pub use features::{FeatureSpace, FeatureVector};
+pub use fine::{fine_cluster, FineGroup, SeedSimilarities};
 pub use kmeans::{kmeans, KmeansResult};

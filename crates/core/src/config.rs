@@ -44,7 +44,8 @@ pub struct MidasConfig {
     /// main panel when `η_min ≤ 2` would otherwise be wanted (§3.1 Remark;
     /// see [`crate::small_patterns`]). Zero disables the feature.
     pub small_pattern_slots: usize,
-    /// Worker threads for the parallel isomorphism kernel. `0` means auto:
+    /// Worker threads for the parallel isomorphism kernel and for fine
+    /// clustering (MCCS scoring, CSG builds). `0` means auto:
     /// the `MIDAS_THREADS` environment variable if set, otherwise the
     /// machine's available parallelism.
     pub threads: usize,
@@ -135,6 +136,7 @@ impl MidasConfig {
             coarse_clusters: self.coarse_clusters,
             max_cluster_size: self.max_cluster_size,
             seed: self.seed,
+            threads: self.threads,
             ..midas_cluster::ClusterConfig::default()
         }
     }
@@ -163,11 +165,13 @@ mod tests {
             sup_min: 0.3,
             max_tree_edges: 5,
             seed: 42,
+            threads: 1,
             ..MidasConfig::default()
         };
         assert!((c.mining().sup_min - 0.3).abs() < 1e-12);
         assert_eq!(c.mining().max_edges, 5);
         assert_eq!(c.selection().seed, 42);
         assert_eq!(c.clustering().seed, 42);
+        assert_eq!(c.clustering().threads, 1);
     }
 }

@@ -42,8 +42,10 @@
 //! first failed task, instead of aborting the process or wedging the
 //! caller. The `MIDAS_FAULT=task:N` environment variable (or
 //! [`set_fault_for_tests`]) arms a deterministic injector that panics the
-//! Nth task executed through this module — the hook the oracle harness and
-//! CI use to prove containment end to end.
+//! Nth task run through this module, counting fan-outs in call order and
+//! each fan-out's tasks in slot order (so thread scheduling cannot move
+//! it) — the hook the oracle harness and CI use to prove containment end
+//! to end.
 
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -86,8 +88,10 @@ const FAULT_FROM_ENV: i64 = i64::MIN;
 /// defers to `MIDAS_FAULT`, any other negative value disables injection.
 static FAULT_OVERRIDE: AtomicI64 = AtomicI64::new(FAULT_FROM_ENV);
 
-/// Global task ordinal; only advanced while a fault target is armed, so the
-/// "Nth task" is deterministic for a fixed workload.
+/// Global task ordinal; only advanced while a fault target is armed. Each
+/// fan-out reserves one ordinal per task up front and task `i` takes
+/// `base + i`, so the "Nth task" is deterministic for a fixed workload
+/// whatever the thread count and scheduling.
 static FAULT_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// `MIDAS_FAULT=task:N`, parsed once.
@@ -124,12 +128,28 @@ pub fn set_fault_for_tests(target: Option<u64>) {
     FAULT_COUNTER.store(0, Ordering::Relaxed);
 }
 
-/// The per-task injection point: panics on the armed task ordinal.
+/// An armed injector's view of one fan-out: the target ordinal and the
+/// ordinal of the fan-out's first task.
+#[derive(Clone, Copy)]
+struct FaultWindow {
+    target: u64,
+    base: u64,
+}
+
+/// Reserves the ordinals of a fan-out of `tasks` tasks; `None` when the
+/// injector is disarmed.
+fn fault_window(tasks: usize) -> Option<FaultWindow> {
+    let target = fault_target()?;
+    let base = FAULT_COUNTER.fetch_add(tasks as u64, Ordering::Relaxed);
+    Some(FaultWindow { target, base })
+}
+
+/// The per-task injection point: panics when task `task` of the fan-out
+/// holds the armed ordinal.
 #[inline]
-fn fault_point() {
-    if let Some(target) = fault_target() {
-        let ordinal = FAULT_COUNTER.fetch_add(1, Ordering::Relaxed);
-        if ordinal == target {
+fn fault_point(window: Option<FaultWindow>, task: usize) {
+    if let Some(FaultWindow { target, base }) = window {
+        if base + task as u64 == target {
             midas_obs::flight::record_event(
                 "fault_injected",
                 format!("MIDAS_FAULT fired at task {target}"),
@@ -224,13 +244,14 @@ where
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
+    let window = fault_window(items.len());
     let threads = effective_threads(threads, items.len());
     if threads <= 1 {
         return items
             .iter()
             .enumerate()
             .map(|(i, x)| {
-                fault_point();
+                fault_point(window, i);
                 f(i, x)
             })
             .collect();
@@ -251,7 +272,7 @@ where
                 let _busy = midas_obs::span!("exec.worker");
                 let base = chunk_idx * chunk_len;
                 for (offset, (item, slot)) in in_chunk.iter().zip(out_chunk).enumerate() {
-                    fault_point();
+                    fault_point(window, base + offset);
                     *slot = Some(f(base + offset, item));
                 }
             });
@@ -287,9 +308,10 @@ where
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
+    let window = fault_window(items.len());
     let run_task = |i: usize, item: &T| -> Result<U, KernelError> {
         catch_unwind(AssertUnwindSafe(|| {
-            fault_point();
+            fault_point(window, i);
             f(i, item)
         }))
         .map_err(|payload| {

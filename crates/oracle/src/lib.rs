@@ -4,7 +4,7 @@
 //! in the workspace is cross-checked against its slow reference twin on a
 //! seeded, fully reproducible world from `midas-datagen`.
 //!
-//! The seven checks ([`Oracle::run_all`]):
+//! The eight checks ([`Oracle::run_all`]):
 //!
 //! 1. **`kernel_vs_serial`** — [`MatchKernel`] / `EmbeddingCache` counts
 //!    and containment vs the serial VF2 walkers
@@ -33,6 +33,13 @@
 //!    [`Midas`] fed the same bootstrap graphs and the same explicit
 //!    batch sequence through sync updates: the served pattern set,
 //!    epoch, and database size must be **bit-identical** at every step.
+//! 8. **`cluster_split`** — [`ClusterSet`] splits that reuse each
+//!    cluster's kept seed similarities vs [`fine_cluster`] run on the
+//!    pre-split members with no known similarities on one thread, over
+//!    growth, deletion (including a deleted seed) and novel-wave batches
+//!    (including newcomers larger than their cluster's seed): identical
+//!    groups, seeds, stored similarities and CSG member sets, and
+//!    identical cluster states at 1 and 2 threads.
 //!
 //! Divergences are reported as structured JSON (reusing `midas_obs::json`)
 //! with the offending graph pair **minimized** by greedy vertex removal
@@ -51,22 +58,31 @@
 
 pub mod reference_swap;
 
+use midas_cluster::kmeans::dist2_to_centroid;
+use midas_cluster::{
+    fine_cluster, Cluster, ClusterConfig, ClusterId, ClusterSet, FeatureSpace, FeatureVector,
+    FineGroup, SeedSimilarities,
+};
 use midas_core::candidate_gen::{coverage_state, Candidate};
 use midas_core::metrics::ScovContext;
 use midas_core::monitor::GraphletMonitor;
 use midas_core::query_log::QueryLog;
 use midas_core::swap::{multi_scan_swap_weighted, SwapOutcome, SwapParams, SwapScope};
 use midas_core::{Midas, MidasConfig, PatternStore};
-use midas_datagen::{deletion_batch, growth_batch, query_set, DatasetKind, DatasetSpec};
+use midas_datagen::updates::boronic_ester_family;
+use midas_datagen::{
+    deletion_batch, growth_batch, novel_family_batch, query_set, DatasetKind, DatasetSpec,
+};
 use midas_graph::exec::set_fault_for_tests;
 use midas_graph::ged::{ged_exact, ged_label_lower_bound, ged_tight_lower_bound};
 use midas_graph::graphlets::{count_graphlets, GraphletCounts};
 use midas_graph::isomorphism::{count_embeddings, find_embeddings, is_subgraph_of};
+use midas_graph::mccs::mccs_similarity;
 use midas_graph::plan::{count_embeddings_plan, find_embeddings_plan, is_subgraph_plan};
-use midas_graph::{GraphBuilder, GraphDb, GraphId, LabeledGraph, MatchKernel};
+use midas_graph::{BatchUpdate, GraphBuilder, GraphDb, GraphId, LabeledGraph, MatchKernel};
 use midas_index::{FctIndex, IfeIndex, PatternId};
 use midas_mining::incremental::FctState;
-use midas_mining::{EdgeCatalog, MiningConfig, TreeKey};
+use midas_mining::{EdgeCatalog, MiningConfig, TreeKey, TreeLattice};
 use midas_obs::json;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -233,7 +249,7 @@ where
     }
 }
 
-/// The differential oracle: a seeded world plus the six checks.
+/// The differential oracle: a seeded world plus the eight checks.
 pub struct Oracle {
     seed: u64,
 }
@@ -254,7 +270,7 @@ impl Oracle {
             checks: Vec::new(),
             divergences: Vec::new(),
         };
-        let checks: [(&'static str, CheckFn); 7] = [
+        let checks: [(&'static str, CheckFn); 8] = [
             ("kernel_vs_serial", Oracle::check_kernel_vs_serial),
             ("incremental_mining", Oracle::check_incremental_mining),
             ("graphlet_monitor", Oracle::check_monitor),
@@ -262,6 +278,7 @@ impl Oracle {
             ("multi_scan_swap", Oracle::check_swap),
             ("plan_vs_vf2", Oracle::check_plan_vs_vf2),
             ("serve_vs_library", Oracle::check_serve_vs_library),
+            ("cluster_split", Oracle::check_cluster_split),
         ];
         for (name, check) in checks {
             let cases = check(self, &mut report.divergences);
@@ -952,6 +969,337 @@ impl Oracle {
         }
         daemon.shutdown();
         cases
+    }
+
+    /// Check 8: cluster splits that reuse kept seed similarities against
+    /// fine-clustering the pre-split members from scratch, and the whole
+    /// cluster state at 1 thread against 2.
+    fn check_cluster_split(&self, out: &mut Vec<Divergence>) -> usize {
+        let mut cases = 0;
+        let serial = self.drive_cluster_splits(1, out, &mut cases);
+        let parallel = self.drive_cluster_splits(2, out, &mut cases);
+        cases += 1;
+        if let Some(step) =
+            (0..serial.len().max(parallel.len())).find(|&i| serial.get(i) != parallel.get(i))
+        {
+            let describe = |views: &[Vec<ClusterView>]| {
+                views
+                    .get(step)
+                    .map_or("no such step".to_owned(), |v| describe_views(v))
+            };
+            out.push(cluster_divergence(
+                format!("step {step}: threads 1 vs 2"),
+                describe(&serial),
+                describe(&parallel),
+            ));
+        }
+        cases
+    }
+
+    /// Drives a [`ClusterSet`] (the `small` preset's sizes, `threads`
+    /// workers) through a seeded batch sequence, checking every split
+    /// against the from-scratch reference and every kept similarity
+    /// against a fresh MCCS call. Returns the cluster state after each
+    /// step.
+    fn drive_cluster_splits(
+        &self,
+        threads: usize,
+        out: &mut Vec<Divergence>,
+        cases: &mut usize,
+    ) -> Vec<Vec<ClusterView>> {
+        let preset = MidasConfig::small_defaults();
+        let config = ClusterConfig {
+            threads,
+            ..preset.clustering()
+        };
+        let mut db = DatasetSpec::new(DatasetKind::AidsLike, 80, self.seed ^ 0x80)
+            .generate()
+            .db;
+        let params = DatasetKind::AidsLike.params();
+        let mut fct = FctState::build(&db, preset.mining());
+        let space = FeatureSpace::from_fct(&fct.lattice, preset.sup_min, db.len());
+        let mut set = ClusterSet::build(&db, &fct.lattice, space, config);
+        let mut verified: BTreeSet<(GraphId, GraphId)> = BTreeSet::new();
+        let (mut deleted_seeds, mut overtaken_seeds) = (0, 0);
+        let mut states = Vec::new();
+        let kept = |set: &ClusterSet| -> Vec<SeedSimilarities> {
+            set.iter()
+                .filter_map(|(_, c)| c.seed_similarities().cloned())
+                .collect()
+        };
+        for step in 0..8u64 {
+            let update = match step {
+                // Newcomers larger than their cluster's seed.
+                2 => BatchUpdate::insert_only(overtaking_newcomers(&set, &db, &fct.lattice)),
+                // Random deletions plus one kept member of every seeded
+                // cluster.
+                3 => {
+                    let mut update = deletion_batch(&db, 10, self.seed ^ 0x83);
+                    for s in kept(&set) {
+                        let member = s.sims.keys().next().copied();
+                        if let Some(m) = member.filter(|m| !update.delete.contains(m)) {
+                            update.delete.push(m);
+                        }
+                    }
+                    update
+                }
+                4 => novel_family_batch(boronic_ester_family(), 15, self.seed ^ 0x84),
+                // Delete the first kept seed.
+                5 => BatchUpdate::delete_only(kept(&set).iter().take(1).map(|s| s.seed).collect()),
+                _ => growth_batch(&params, 25, self.seed ^ (0x80 + step)),
+            };
+            let deleted: Vec<(GraphId, Arc<LabeledGraph>)> = update
+                .delete
+                .iter()
+                .filter_map(|&id| db.get(id).map(|g| (id, Arc::clone(g))))
+                .collect();
+            let (inserted, _) = db.apply(update);
+            let deleted_refs: Vec<(GraphId, &LabeledGraph)> =
+                deleted.iter().map(|(id, g)| (*id, g.as_ref())).collect();
+            fct.apply_batch(&db, &inserted, &deleted_refs);
+
+            for (id, graph) in &deleted {
+                let seeded = set.cluster_of(*id).filter(|&cid| {
+                    set.get(cid)
+                        .and_then(|c| c.seed_similarities())
+                        .is_some_and(|s| s.seed == *id)
+                });
+                set.remove(*id, graph);
+                if let Some(cid) = seeded {
+                    deleted_seeds += 1;
+                    *cases += 1;
+                    if let Some(kept) = set.get(cid).and_then(|c| c.seed_similarities()) {
+                        out.push(cluster_divergence(
+                            format!("step {step}: removed seed {id} of {cid}"),
+                            "no kept similarities".to_owned(),
+                            format!("seed {} with {} similarities", kept.seed, kept.sims.len()),
+                        ));
+                    }
+                }
+            }
+            for &id in &inserted {
+                let before: BTreeMap<ClusterId, (BTreeSet<GraphId>, Option<GraphId>)> = set
+                    .iter()
+                    .map(|(cid, c)| {
+                        let seed = c.seed_similarities().map(|s| s.seed);
+                        (cid, (c.members().clone(), seed))
+                    })
+                    .collect();
+                let graph = Arc::clone(db.get(id).expect("inserted id"));
+                let affected = set.assign(&db, &fct.lattice, id, &graph);
+                if affected.len() < 2 {
+                    continue;
+                }
+                *cases += 1;
+                let Some((split, (mut members, kept_seed))) =
+                    before.into_iter().find(|(cid, _)| set.get(*cid).is_none())
+                else {
+                    out.push(cluster_divergence(
+                        format!("step {step}: assign {id}"),
+                        "the split cluster replaced".to_owned(),
+                        format!("{} clusters affected, none removed", affected.len()),
+                    ));
+                    continue;
+                };
+                members.insert(id);
+                let with_graphs: Vec<(GraphId, &LabeledGraph)> = members
+                    .iter()
+                    .map(|&m| (m, db.get(m).expect("live member").as_ref()))
+                    .collect();
+                let want = fine_cluster(
+                    &with_graphs,
+                    None,
+                    config.max_cluster_size,
+                    config.mccs_budget,
+                    1,
+                );
+                let first_seed = want[0].seed.as_ref().map(|s| s.seed);
+                if kept_seed.is_some() && first_seed != kept_seed {
+                    overtaken_seeds += 1;
+                }
+                let got: Vec<ClusterView> = affected
+                    .iter()
+                    .filter_map(|&cid| set.get(cid).map(|c| cluster_view(cid, c)))
+                    .collect();
+                let matches = got.len() == want.len()
+                    && got.iter().zip(&want).all(|(view, group)| {
+                        let members: BTreeSet<GraphId> = group.members.iter().copied().collect();
+                        view.members == members
+                            && view.csg_members == members
+                            && view.seed == group.seed
+                    });
+                if !matches {
+                    out.push(cluster_divergence(
+                        format!("step {step}: split of {split} on assigning {id}"),
+                        describe_groups(&want),
+                        describe_views(&got),
+                    ));
+                }
+            }
+
+            // Every kept similarity is keyed by a current member other
+            // than the seed, and is a fresh MCCS call's value (the value
+            // of a pair cannot change, so each pair is recomputed once).
+            for (cid, cluster) in set.iter() {
+                let Some(kept) = cluster.seed_similarities() else {
+                    continue;
+                };
+                *cases += 1;
+                let members = cluster.members();
+                let strays: Vec<GraphId> = std::iter::once(kept.seed)
+                    .filter(|s| !members.contains(s))
+                    .chain(
+                        kept.sims
+                            .keys()
+                            .copied()
+                            .filter(|m| *m == kept.seed || !members.contains(m)),
+                    )
+                    .collect();
+                if !strays.is_empty() {
+                    out.push(cluster_divergence(
+                        format!("step {step}: {cid} kept similarities"),
+                        format!("seed and keys among the {} members", members.len()),
+                        format!("seed {} and stray ids {strays:?}", kept.seed),
+                    ));
+                    continue;
+                }
+                for (&m, &sim) in &kept.sims {
+                    if !verified.insert((kept.seed, m)) {
+                        continue;
+                    }
+                    *cases += 1;
+                    let fresh = mccs_similarity(
+                        db.get(kept.seed).expect("live seed"),
+                        db.get(m).expect("live member"),
+                        config.mccs_budget,
+                    );
+                    if fresh.to_bits() != sim.to_bits() {
+                        out.push(cluster_divergence(
+                            format!("step {step}: {cid} kept ω({}, {m})", kept.seed),
+                            format!("{fresh} (fresh)"),
+                            format!("{sim}"),
+                        ));
+                    }
+                }
+            }
+            states.push(set.iter().map(|(cid, c)| cluster_view(cid, c)).collect());
+        }
+        *cases += 1;
+        if deleted_seeds == 0 || overtaken_seeds == 0 {
+            out.push(cluster_divergence(
+                format!("batch sequence at threads = {threads}"),
+                "a deleted seed and a split whose seed was overtaken".to_owned(),
+                format!("{deleted_seeds} deleted seeds, {overtaken_seeds} overtaken seeds"),
+            ));
+        }
+        states
+    }
+}
+
+/// For each cluster with a kept seed, a newcomer that has more edges than
+/// the seed and is assigned to that cluster: a member whose features are
+/// strictly nearest this cluster's centroid, plus detached copies of its
+/// first edge. A detached edge adds edges but no feature tree, so the
+/// newcomer's feature vector is the member's.
+fn overtaking_newcomers(
+    set: &ClusterSet,
+    db: &GraphDb,
+    lattice: &TreeLattice,
+) -> Vec<LabeledGraph> {
+    let distance = |c: &Cluster, v: &FeatureVector| {
+        let norm2: f64 = c.centroid().iter().map(|x| x * x).sum();
+        dist2_to_centroid(c.centroid(), norm2, v)
+    };
+    let mut newcomers = Vec::new();
+    for (cid, cluster) in set.iter() {
+        let Some(kept) = cluster.seed_similarities() else {
+            continue;
+        };
+        let anchor = cluster.members().iter().find(|&&m| {
+            let v = set.feature_space().vector(lattice, m);
+            let own = distance(cluster, &v);
+            set.iter()
+                .all(|(other, c)| other == cid || own < distance(c, &v))
+        });
+        let (Some(&anchor), Some(seed)) = (anchor, db.get(kept.seed)) else {
+            continue;
+        };
+        let mut g = db.get(anchor).expect("live member").as_ref().clone();
+        let Some(&(u, v)) = g.edges().first() else {
+            continue;
+        };
+        while g.edge_count() <= seed.edge_count() {
+            let (a, b) = (g.add_vertex(g.label(u)), g.add_vertex(g.label(v)));
+            g.add_edge(a, b);
+        }
+        newcomers.push(g);
+    }
+    newcomers
+}
+
+/// One cluster as `cluster_split` compares it.
+#[derive(Debug, Clone, PartialEq)]
+struct ClusterView {
+    id: ClusterId,
+    members: BTreeSet<GraphId>,
+    seed: Option<SeedSimilarities>,
+    csg_members: BTreeSet<GraphId>,
+}
+
+fn cluster_view(id: ClusterId, cluster: &Cluster) -> ClusterView {
+    ClusterView {
+        id,
+        members: cluster.members().clone(),
+        seed: cluster.seed_similarities().cloned(),
+        csg_members: cluster.csg().members().clone(),
+    }
+}
+
+fn describe_seed(seed: Option<&SeedSimilarities>) -> String {
+    seed.map_or("no seed".to_owned(), |s| {
+        format!("seed {} with {} similarities", s.seed, s.sims.len())
+    })
+}
+
+fn describe_groups(groups: &[FineGroup]) -> String {
+    let parts: Vec<String> = groups
+        .iter()
+        .map(|g| {
+            format!(
+                "{} members, {}",
+                g.members.len(),
+                describe_seed(g.seed.as_ref())
+            )
+        })
+        .collect();
+    parts.join("; ")
+}
+
+fn describe_views(views: &[ClusterView]) -> String {
+    let parts: Vec<String> = views
+        .iter()
+        .map(|v| {
+            format!(
+                "{}: {} members ({} in CSG), {}",
+                v.id,
+                v.members.len(),
+                v.csg_members.len(),
+                describe_seed(v.seed.as_ref())
+            )
+        })
+        .collect();
+    parts.join("; ")
+}
+
+/// A `cluster_split` divergence (no graph witness — the batch sequence
+/// is seeded, so the case string locates it).
+fn cluster_divergence(case: String, expected: String, actual: String) -> Divergence {
+    Divergence {
+        check: "cluster_split",
+        case,
+        expected,
+        actual,
+        witness: None,
     }
 }
 

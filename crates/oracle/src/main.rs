@@ -1,4 +1,4 @@
-//! Oracle CLI: runs the seven differential checks (and, when `MIDAS_FAULT`
+//! Oracle CLI: runs the eight differential checks (and, when `MIDAS_FAULT`
 //! is set, the fault-containment pass first) and prints the JSON report.
 //!
 //! ```text

@@ -2,16 +2,17 @@
 //! maintenance §4.4), the index matrices (§5.1), and the swap guarantees
 //! (§6.2).
 
+use midas_cluster::{fine_cluster, ClusterConfig, ClusterId, ClusterSet, FeatureSpace};
 use midas_core::candidate_gen::{coverage_state, Candidate};
 use midas_core::metrics::ScovContext;
 use midas_core::patterns::PatternStore;
 use midas_core::swap::{multi_scan_swap, ScoreTable, SwapOutcome, SwapParams, SwapScope};
 use midas_graph::{ClosureGraph, GraphDb, GraphId, LabeledGraph};
 use midas_index::{FctIndex, IfeIndex, PatternId};
-use midas_mining::EdgeCatalog;
+use midas_mining::{mine_lattice, EdgeCatalog, MiningConfig, TreeLattice};
 use midas_tests::connected_graph_strategy;
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Covers the store and `candidates` over `sample` (serial context), then
 /// runs the multi-scan swap with default parameters.
@@ -47,6 +48,20 @@ fn covered_swap(
         pattern_covered: &state.covered,
     };
     multi_scan_swap(store, candidates, &scope, &SwapParams::default(), fct, ife)
+}
+
+/// Adds `id` to the support of every lattice tree it contains, as
+/// incremental mining does before clusters see an insertion.
+fn extend_supports(lattice: &mut TreeLattice, id: GraphId, graph: &LabeledGraph) {
+    let keys: Vec<_> = lattice.iter().map(|(k, _)| k.clone()).collect();
+    for key in keys {
+        let entry = lattice.get(&key).expect("listed key");
+        if midas_graph::isomorphism::is_subgraph_of(&entry.tree, graph) {
+            let mut entry = entry.clone();
+            entry.support.insert(id);
+            lattice.insert(key, entry);
+        }
+    }
 }
 
 proptest! {
@@ -233,5 +248,75 @@ proptest! {
             .unzip();
         let q = midas_catapult::score::set_quality(&subset, &db, &catalog, &sample);
         prop_assert_eq!(table.set_measures(&members), (q.div, q.cog, q.lcov));
+    }
+
+    /// Splits that reuse each cluster's kept seed similarities form the
+    /// same clusters, seeds and similarities as fine-clustering the
+    /// pre-split members from scratch, over random assign/remove
+    /// sequences; kept similarities never outnumber the members.
+    #[test]
+    fn cluster_splits_match_from_scratch_fine_clustering(
+        base in proptest::collection::vec(connected_graph_strategy(5, 3), 2..6),
+        ops in proptest::collection::vec((0..3u8, connected_graph_strategy(6, 3), 0..64usize), 1..16),
+    ) {
+        let mut db = GraphDb::from_graphs(base);
+        let graphs: Vec<(GraphId, &LabeledGraph)> =
+            db.iter().map(|(id, g)| (id, g.as_ref())).collect();
+        let mining = MiningConfig { sup_min: 0.3, max_edges: 2 };
+        let mut lattice = mine_lattice(&graphs, &mining);
+        let space = FeatureSpace::from_frequent(&lattice, mining.sup_min, db.len());
+        let config = ClusterConfig {
+            coarse_clusters: 1,
+            max_cluster_size: 3,
+            threads: 1,
+            ..ClusterConfig::default()
+        };
+        let mut set = ClusterSet::build(&db, &lattice, space, config);
+        for (op, graph, pick) in ops {
+            if op == 0 {
+                let live: Vec<GraphId> = db.ids().collect();
+                if let Some(&id) = live.get(pick % live.len().max(1)) {
+                    let gone = db.remove(id).expect("live id");
+                    set.remove(id, &gone);
+                }
+                continue;
+            }
+            let id = db.insert(graph);
+            let graph = db.get(id).expect("inserted").clone();
+            extend_supports(&mut lattice, id, &graph);
+            let before: BTreeMap<ClusterId, BTreeSet<GraphId>> =
+                set.iter().map(|(cid, c)| (cid, c.members().clone())).collect();
+            let affected = set.assign(&db, &lattice, id, &graph);
+            if affected.len() < 2 {
+                continue;
+            }
+            let (_, mut members) = before
+                .into_iter()
+                .find(|(cid, _)| set.get(*cid).is_none())
+                .expect("the split cluster is replaced");
+            members.insert(id);
+            let with_graphs: Vec<(GraphId, &LabeledGraph)> = members
+                .iter()
+                .map(|&m| (m, db.get(m).expect("live member").as_ref()))
+                .collect();
+            let want: Vec<_> = fine_cluster(&with_graphs, None, 3, config.mccs_budget, 1)
+                .into_iter()
+                .map(|g| (g.members.into_iter().collect::<BTreeSet<_>>(), g.seed))
+                .collect();
+            let got: Vec<_> = affected
+                .iter()
+                .map(|&cid| {
+                    let c = set.get(cid).expect("affected cluster");
+                    (c.members().clone(), c.seed_similarities().cloned())
+                })
+                .collect();
+            prop_assert_eq!(got, want);
+        }
+        let kept: usize = set
+            .iter()
+            .filter_map(|(_, c)| c.seed_similarities())
+            .map(|s| s.sims.len())
+            .sum();
+        prop_assert!(kept <= set.total_members());
     }
 }

@@ -85,6 +85,30 @@ fn phase_spans_tile_pattern_maintenance_time() {
 }
 
 #[test]
+fn splitting_batch_records_split_spans_and_mccs_counters() {
+    let _g = exclusive();
+    let mut cfg = test_config(7);
+    cfg.telemetry.enabled = true;
+    cfg.max_cluster_size = 8;
+    let mut midas = Midas::bootstrap(seed_db(), cfg).unwrap();
+    let report = midas.apply_batch(BatchUpdate::insert_only(dense_wave()));
+    TelemetryConfig::default().activate();
+
+    let telemetry = &report.telemetry;
+    let splits = telemetry.counter("cluster.splits");
+    assert!(
+        splits >= 1,
+        "16 inserts into clusters of at most 8 must split"
+    );
+    assert_eq!(telemetry.span("batch.cluster.split").count, splits);
+    assert!(telemetry.counter("cluster.mccs_calls") > 0);
+    assert!(
+        telemetry.counter("cluster.mccs_reused") > 0,
+        "repeat splits around one seed reuse its similarities"
+    );
+}
+
+#[test]
 fn metrics_snapshot_exports_valid_json() {
     let _g = exclusive();
     let mut cfg = test_config(11);
