@@ -74,13 +74,11 @@ fn main() {
         let stats = random_walks(csg, params.walks, params.walk_length, &mut rng);
         for size in params.budget.eta_min..=params.budget.eta_max {
             let mut pass = |_: &[(u32, u32)], _: (u32, u32)| true;
-            unpruned.extend(generate_candidates(
-                csg,
-                &stats,
-                size,
-                params.seeds_per_size,
-                &mut pass,
-            ));
+            unpruned.extend(
+                generate_candidates(csg, &stats, size, params.seeds_per_size, &mut pass)
+                    .into_iter()
+                    .map(|(candidate, _)| candidate),
+            );
         }
     }
     let unpruned_time = t.elapsed();

@@ -11,7 +11,8 @@
 
 use crate::random_walk::WalkStats;
 use crate::weights::WeightedCsg;
-use midas_graph::{LabeledGraph, VertexId};
+use midas_graph::canonical::canonical_code;
+use midas_graph::{CanonicalCode, LabeledGraph, VertexId};
 use std::collections::BTreeSet;
 
 /// Decision hook consulted before each edge extension.
@@ -21,12 +22,14 @@ use std::collections::BTreeSet;
 /// aborts this candidate), `true` to continue.
 pub type CandidateHook<'a> = dyn FnMut(&[(VertexId, VertexId)], (VertexId, VertexId)) -> bool + 'a;
 
-/// Grows one FCP of exactly `size` edges from `seed_rank`-th most-traversed
-/// edge. Returns `None` when the CSG is too small, the pattern cannot grow
-/// connected to the target size, or the hook vetoes an extension.
+/// Grows one FCP of exactly `size` edges from the `seed_rank`-th
+/// most-traversed edge. `order` is the CSG's edge indices by descending
+/// traversal count ([`WalkStats::edges_by_frequency`]). Returns `None` when
+/// the CSG is too small, the pattern cannot grow connected to the target
+/// size, or the hook vetoes an extension.
 pub fn generate_fcp(
     csg: &WeightedCsg,
-    stats: &WalkStats,
+    order: &[usize],
     size: usize,
     seed_rank: usize,
     hook: &mut CandidateHook<'_>,
@@ -35,28 +38,18 @@ pub fn generate_fcp(
     if size == 0 || graph.edge_count() < size {
         return None;
     }
-    let order = stats.edges_by_frequency();
     let &seed = order.get(seed_rank)?;
-    let rank_of = {
-        let mut r = vec![usize::MAX; graph.edge_count()];
-        for (rank, &e) in order.iter().enumerate() {
-            r[e] = rank;
-        }
-        r
-    };
     let seed_edge = graph.edges()[seed];
     let mut chosen: Vec<(VertexId, VertexId)> = vec![seed_edge];
     let mut chosen_set: BTreeSet<usize> = BTreeSet::from([seed]);
     let mut vertices: BTreeSet<VertexId> = BTreeSet::from([seed_edge.0, seed_edge.1]);
     while chosen.len() < size {
-        // Most-traversed unchosen edge adjacent to the partial pattern.
-        let next = (0..graph.edge_count())
-            .filter(|i| !chosen_set.contains(i))
-            .filter(|&i| {
-                let (u, v) = graph.edges()[i];
-                vertices.contains(&u) || vertices.contains(&v)
-            })
-            .min_by_key(|&i| rank_of[i])?;
+        // Most-traversed unchosen edge adjacent to the partial pattern:
+        // the first such edge in rank order.
+        let next = order.iter().copied().find(|&i| {
+            let (u, v) = graph.edges()[i];
+            !chosen_set.contains(&i) && (vertices.contains(&u) || vertices.contains(&v))
+        })?;
         let edge = graph.edges()[next];
         if !hook(&chosen, edge) {
             return None; // early termination (Eq. 2)
@@ -73,14 +66,15 @@ pub fn generate_fcp(
 /// `seeds` seed ranks **plus** the best-ranked edge of every distinct edge
 /// label (so rare labels — e.g. a newly arrived functional group — still
 /// seed candidates, giving the "variety of potential candidate patterns"
-/// of §2.3). Results are deduplicated by canonical code.
+/// of §2.3). Results are deduplicated by canonical code and returned with
+/// it, so callers never recompute a candidate's code.
 pub fn generate_candidates(
     csg: &WeightedCsg,
     stats: &WalkStats,
     size: usize,
     seeds: usize,
     hook: &mut CandidateHook<'_>,
-) -> Vec<LabeledGraph> {
+) -> Vec<(LabeledGraph, CanonicalCode)> {
     let order = stats.edges_by_frequency();
     let mut seed_ranks: Vec<usize> = (0..seeds.min(order.len())).collect();
     // Label-diverse extras are capped at `seeds` so candidate volume stays
@@ -97,13 +91,13 @@ pub fn generate_candidates(
             extras += 1;
         }
     }
-    let mut out: Vec<LabeledGraph> = Vec::new();
+    let mut out: Vec<(LabeledGraph, CanonicalCode)> = Vec::new();
     let mut codes = BTreeSet::new();
     for rank in seed_ranks {
-        if let Some(candidate) = generate_fcp(csg, stats, size, rank, hook) {
-            let code = midas_graph::canonical::canonical_code(&candidate);
-            if codes.insert(code) {
-                out.push(candidate);
+        if let Some(candidate) = generate_fcp(csg, &order, size, rank, hook) {
+            let code = canonical_code(&candidate);
+            if codes.insert(code.clone()) {
+                out.push((candidate, code));
             }
         }
     }
@@ -144,8 +138,9 @@ mod tests {
         let csg = weighted(&graph);
         let mut rng = StdRng::seed_from_u64(5);
         let stats = random_walks(&csg, 100, 8, &mut rng);
+        let order = stats.edges_by_frequency();
         for size in 1..=4 {
-            let fcp = generate_fcp(&csg, &stats, size, 0, &mut *no_hook()).expect("csg big enough");
+            let fcp = generate_fcp(&csg, &order, size, 0, &mut *no_hook()).expect("csg big enough");
             assert_eq!(fcp.edge_count(), size);
             assert!(fcp.is_connected());
         }
@@ -156,8 +151,9 @@ mod tests {
         let csg = weighted(&path(&[0, 1, 2]));
         let mut rng = StdRng::seed_from_u64(5);
         let stats = random_walks(&csg, 10, 4, &mut rng);
-        assert!(generate_fcp(&csg, &stats, 5, 0, &mut *no_hook()).is_none());
-        assert!(generate_fcp(&csg, &stats, 0, 0, &mut *no_hook()).is_none());
+        let order = stats.edges_by_frequency();
+        assert!(generate_fcp(&csg, &order, 5, 0, &mut *no_hook()).is_none());
+        assert!(generate_fcp(&csg, &order, 0, 0, &mut *no_hook()).is_none());
     }
 
     #[test]
@@ -165,10 +161,11 @@ mod tests {
         let csg = weighted(&path(&[0, 1, 2, 3]));
         let mut rng = StdRng::seed_from_u64(6);
         let stats = random_walks(&csg, 50, 6, &mut rng);
+        let order = stats.edges_by_frequency();
         let mut always_veto: Box<CandidateHook<'_>> = Box::new(|_, _| false);
         // Size 1 needs no extension, so it survives; size 2 needs one.
-        assert!(generate_fcp(&csg, &stats, 1, 0, &mut *always_veto).is_some());
-        assert!(generate_fcp(&csg, &stats, 2, 0, &mut *always_veto).is_none());
+        assert!(generate_fcp(&csg, &order, 1, 0, &mut *always_veto).is_some());
+        assert!(generate_fcp(&csg, &order, 2, 0, &mut *always_veto).is_none());
     }
 
     #[test]
@@ -176,12 +173,13 @@ mod tests {
         let csg = weighted(&path(&[0, 1, 2, 3]));
         let mut rng = StdRng::seed_from_u64(7);
         let stats = random_walks(&csg, 50, 6, &mut rng);
+        let order = stats.edges_by_frequency();
         let mut sizes_seen = Vec::new();
         let mut hook: Box<CandidateHook<'_>> = Box::new(|partial, _| {
             sizes_seen.push(partial.len());
             true
         });
-        generate_fcp(&csg, &stats, 3, 0, &mut *hook).expect("fits");
+        generate_fcp(&csg, &order, 3, 0, &mut *hook).expect("fits");
         drop(hook);
         assert_eq!(sizes_seen, vec![1, 2]);
     }
@@ -203,7 +201,12 @@ mod tests {
         assert_eq!(candidates.len(), 1, "isomorphic seeds deduplicate");
         let bigger = generate_candidates(&csg, &stats, 2, 3, &mut *no_hook());
         assert_eq!(bigger.len(), 1);
-        assert_eq!(bigger[0].edge_count(), 2);
+        assert_eq!(bigger[0].0.edge_count(), 2);
+        assert_eq!(
+            bigger[0].1,
+            canonical_code(&bigger[0].0),
+            "code travels along"
+        );
     }
 
     #[test]
@@ -212,7 +215,8 @@ mod tests {
         let csg = weighted(&graph);
         let mut rng = StdRng::seed_from_u64(9);
         let stats = random_walks(&csg, 40, 4, &mut rng);
-        let fcp = generate_fcp(&csg, &stats, 2, 0, &mut *no_hook()).unwrap();
+        let order = stats.edges_by_frequency();
+        let fcp = generate_fcp(&csg, &order, 2, 0, &mut *no_hook()).unwrap();
         assert_eq!(fcp.sorted_labels(), vec![0, 1, 2]);
     }
 }

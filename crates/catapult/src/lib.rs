@@ -34,6 +34,6 @@ pub mod select;
 pub mod weights;
 
 pub use candidates::{generate_fcp, CandidateHook};
-pub use score::{ccov, lcov_pattern, pattern_score, PatternScoreParts};
+pub use score::{lcov_pattern, pattern_score, CcovTable, PatternScoreParts};
 pub use select::{select_patterns, PatternBudget, SelectionConfig};
 pub use weights::WeightedCsg;

@@ -6,9 +6,10 @@
 //! the tightened GED bound for diversity; the multiplicative combination
 //! here is shared by both.
 
+use midas_cluster::ClusterSet;
 use midas_graph::ged::ged_tight_lower_bound;
 use midas_graph::isomorphism::is_subgraph_of;
-use midas_graph::{LabeledGraph, MatchKernel};
+use midas_graph::{Csr, LabeledGraph, MatchKernel, MatchPlan};
 use midas_mining::EdgeCatalog;
 use std::collections::BTreeSet;
 
@@ -32,33 +33,47 @@ pub fn pattern_score(parts: PatternScoreParts) -> f64 {
     parts.coverage * parts.lcov * parts.div / parts.cog.max(f64::MIN_POSITIVE)
 }
 
-/// Cluster coverage `ccov(p, cw, C) = Σ cw_i · I_i` (Def. 2.1): `cw_i =
-/// |C_i| / |D|` and `I_i = 1` iff the CSG of `C_i` contains a subgraph
-/// isomorphic to `p` (tested on the CSG's labeled projection).
-pub fn ccov(pattern: &LabeledGraph, clusters: &midas_cluster::ClusterSet, db_len: usize) -> f64 {
-    let projections: Vec<(usize, LabeledGraph)> = clusters
-        .iter()
-        .map(|(_, c)| (c.len(), c.csg().to_labeled_graph().0))
-        .collect();
-    ccov_projected(pattern, &projections, db_len)
+/// Cluster coverage `ccov(p, cw, C) = Σ cw_i · I_i` (Def. 2.1) over the
+/// clusters of one selection run: `cw_i = |C_i| / |D|` and `I_i = 1` iff
+/// the CSG of `C_i` contains a subgraph isomorphic to `p` (tested on the
+/// CSG's labeled projection).
+///
+/// The clusters are fixed while selection runs, so each projection is
+/// built into a [`Csr`] once, next to its weight, and every candidate is
+/// matched against all of them through its compiled [`MatchPlan`].
+#[derive(Debug)]
+pub struct CcovTable {
+    /// Per cluster, in [`ClusterSet::iter`] order: `(cw_i, projection)`.
+    projections: Vec<(f64, Csr)>,
 }
 
-/// [`ccov`] over precomputed `(cluster size, CSG projection)` pairs — the
-/// selection loop scores many candidates against the same CSGs, so the
-/// projections are computed once.
-pub fn ccov_projected(
-    pattern: &LabeledGraph,
-    projections: &[(usize, LabeledGraph)],
-    db_len: usize,
-) -> f64 {
-    if db_len == 0 {
-        return 0.0;
+impl CcovTable {
+    /// Builds the table for `clusters` over a database of `db_len` graphs.
+    pub fn build(clusters: &ClusterSet, db_len: usize) -> Self {
+        let projections = clusters
+            .iter()
+            .map(|(_, c)| {
+                let weight = c.len() as f64 / db_len as f64;
+                (weight, Csr::from_graph(&c.csg().to_labeled_graph().0))
+            })
+            .collect();
+        CcovTable { projections }
     }
-    projections
-        .iter()
-        .filter(|(_, projection)| is_subgraph_of(pattern, projection))
-        .map(|(len, _)| *len as f64 / db_len as f64)
-        .sum()
+
+    /// The `(cw_i, projection)` pairs, in summation order.
+    pub fn projections(&self) -> &[(f64, Csr)] {
+        &self.projections
+    }
+
+    /// `ccov` of the pattern `plan` was compiled from: the weights of the
+    /// containing projections, summed in table order.
+    pub fn ccov(&self, plan: &MatchPlan) -> f64 {
+        self.projections
+            .iter()
+            .filter(|(_, projection)| plan.is_subgraph_of(projection))
+            .map(|(weight, _)| *weight)
+            .sum()
+    }
 }
 
 /// Label coverage of a pattern: `|⋃_{e ∈ p} L(e, D)| / |D|` — the fraction
@@ -191,7 +206,7 @@ fn set_quality_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use midas_cluster::{ClusterConfig, ClusterSet, FeatureSpace};
+    use midas_cluster::{ClusterConfig, FeatureSpace};
     use midas_graph::{GraphBuilder, GraphDb, GraphId};
     use midas_mining::{mine_lattice, MiningConfig};
 
@@ -234,15 +249,19 @@ mod tests {
     fn ccov_sums_matching_cluster_weights() {
         let db = sample_db();
         let set = clusters(&db);
+        let table = CcovTable::build(&set, db.len());
+        let ccov = |p: &LabeledGraph| table.ccov(&MatchPlan::compile(p));
         // C-O edge appears in the C-O-N cluster's CSG only.
-        let co = path(&[0, 1]);
-        let got = ccov(&co, &set, db.len());
+        let got = ccov(&path(&[0, 1]));
         assert!((got - 0.75).abs() < 1e-12, "got {got}");
         // S-P in the other cluster (1 graph).
-        let sp = path(&[3, 4]);
-        assert!((ccov(&sp, &set, db.len()) - 0.25).abs() < 1e-12);
+        assert!((ccov(&path(&[3, 4])) - 0.25).abs() < 1e-12);
         // Absent label: zero.
-        assert_eq!(ccov(&path(&[7, 7]), &set, db.len()), 0.0);
+        assert_eq!(ccov(&path(&[7, 7])), 0.0);
+        // One weight per cluster, summing to the clustered share of D.
+        let weights: f64 = table.projections().iter().map(|(w, _)| w).sum();
+        assert_eq!(table.projections().len(), set.len());
+        assert!((weights - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -9,15 +9,14 @@
 
 use crate::candidates::generate_candidates;
 use crate::random_walk::random_walks;
-use crate::score::{ccov_projected, diversity, lcov_pattern, pattern_score, PatternScoreParts};
+use crate::score::{diversity, lcov_pattern, pattern_score, CcovTable, PatternScoreParts};
 use crate::weights::WeightedCsg;
 use midas_cluster::ClusterSet;
-use midas_graph::canonical::canonical_code;
-use midas_graph::{CanonicalCode, LabeledGraph};
+use midas_graph::{CanonicalCode, LabeledGraph, MatchPlan};
 use midas_mining::EdgeCatalog;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// The pattern budget `b = (η_min, η_max, γ)` (Def. 3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,23 +82,47 @@ impl Default for SelectionConfig {
 /// Returns at most `γ` patterns, deduplicated up to isomorphism. The same
 /// routine backs the CATAPULT++ baseline (the clustering feature basis is
 /// decided by the caller).
+///
+/// `ccov` and `lcov` depend only on a candidate's isomorphism class (the
+/// clusters and the edge catalog are fixed while selection runs), so each
+/// class is scored once per run and every repeat reads the memo.
 pub fn select_patterns(
     clusters: &ClusterSet,
     catalog: &EdgeCatalog,
     db_len: usize,
     config: &SelectionConfig,
 ) -> Vec<LabeledGraph> {
+    select(clusters, catalog, db_len, config, true)
+}
+
+/// [`select_patterns`] with every candidate scored afresh instead of
+/// through the per-class memo: the reference the property tests hold the
+/// memo to. Same output, slower.
+pub fn select_patterns_unmemoized(
+    clusters: &ClusterSet,
+    catalog: &EdgeCatalog,
+    db_len: usize,
+    config: &SelectionConfig,
+) -> Vec<LabeledGraph> {
+    select(clusters, catalog, db_len, config, false)
+}
+
+fn select(
+    clusters: &ClusterSet,
+    catalog: &EdgeCatalog,
+    db_len: usize,
+    config: &SelectionConfig,
+    memoize: bool,
+) -> Vec<LabeledGraph> {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut csgs: Vec<WeightedCsg> = clusters
         .iter()
         .map(|(_, c)| WeightedCsg::build(c.csg(), catalog, db_len))
         .collect();
-    // CSG projections are immutable during selection; compute them once
-    // for cluster-coverage scoring.
-    let projections: Vec<(usize, LabeledGraph)> = clusters
-        .iter()
-        .map(|(_, c)| (c.len(), c.csg().to_labeled_graph().0))
-        .collect();
+    let table = CcovTable::build(clusters, db_len);
+    // Per isomorphism class: `(ccov, lcov)`.
+    let mut memo: HashMap<CanonicalCode, (f64, f64)> = HashMap::new();
+    let (mut scored, mut reused) = (0u64, 0u64);
     let mut patterns: Vec<LabeledGraph> = Vec::new();
     let mut seen: BTreeSet<CanonicalCode> = BTreeSet::new();
     let mut per_size: BTreeMap<usize, usize> = BTreeMap::new();
@@ -111,7 +134,7 @@ pub fn select_patterns(
             break;
         }
         // Propose candidates from every CSG and admissible size.
-        let mut best: Option<(f64, LabeledGraph, usize)> = None;
+        let mut best: Option<(f64, LabeledGraph, CanonicalCode, usize)> = None;
         for (ci, csg) in csgs.iter().enumerate() {
             let stats = random_walks(csg, config.walks, config.walk_length, &mut rng);
             for size in config.budget.eta_min..=config.budget.eta_max {
@@ -121,35 +144,53 @@ pub fn select_patterns(
                 let mut no_hook = |_: &[(u32, u32)], _: (u32, u32)| true;
                 let candidates =
                     generate_candidates(csg, &stats, size, config.seeds_per_size, &mut no_hook);
-                for candidate in candidates {
-                    let code = canonical_code(&candidate);
+                for (candidate, code) in candidates {
                     if seen.contains(&code) {
                         continue;
                     }
+                    let (coverage, lcov) = match memo.get(&code) {
+                        Some(&known) => {
+                            reused += 1;
+                            known
+                        }
+                        None => {
+                            scored += 1;
+                            let fresh = (
+                                table.ccov(&MatchPlan::compile(&candidate)),
+                                lcov_pattern(&candidate, catalog, db_len),
+                            );
+                            if memoize {
+                                memo.insert(code.clone(), fresh);
+                            }
+                            fresh
+                        }
+                    };
                     let parts = PatternScoreParts {
-                        coverage: ccov_projected(&candidate, &projections, db_len),
-                        lcov: lcov_pattern(&candidate, catalog, db_len),
+                        coverage,
+                        lcov,
                         div: diversity(&candidate, &patterns),
                         cog: candidate.cognitive_load(),
                     };
                     let score = pattern_score(parts);
-                    if best.as_ref().is_none_or(|(b, _, _)| score > *b) {
-                        best = Some((score, candidate, ci));
+                    if best.as_ref().is_none_or(|(b, ..)| score > *b) {
+                        best = Some((score, candidate, code, ci));
                     }
                 }
             }
         }
-        let Some((_, chosen, source)) = best else {
+        let Some((_, chosen, code, source)) = best else {
             break; // no new pattern can be found
         };
-        seen.insert(canonical_code(&chosen));
+        seen.insert(code);
         *per_size.entry(chosen.edge_count()).or_insert(0) += 1;
         csgs[source].penalize(&chosen, config.mwu_penalty);
         patterns.push(chosen);
     }
+    midas_obs::counter_add!("catapult.scored", scored);
+    midas_obs::counter_add!("catapult.score_reused", reused);
     midas_obs::obs_info!(
         "catapult::select",
-        "selected {} of γ = {} patterns from {} clusters",
+        "selected {} of γ = {} patterns from {} clusters ({scored} classes scored, {reused} repeats reused)",
         patterns.len(),
         config.budget.gamma,
         clusters.len()

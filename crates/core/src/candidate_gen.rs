@@ -13,7 +13,6 @@ use crate::patterns::PatternStore;
 use midas_catapult::candidates::generate_candidates;
 use midas_catapult::random_walk::random_walks;
 use midas_catapult::{PatternBudget, WeightedCsg};
-use midas_graph::canonical::canonical_code;
 use midas_graph::{EdgeLabel, GraphId, LabeledGraph};
 use midas_index::PatternId;
 use rand::rngs::StdRng;
@@ -127,10 +126,9 @@ pub fn generate_promising_candidates(
                 });
                 marginal >= threshold
             };
-            for candidate in
+            for (candidate, code) in
                 generate_candidates(csg, &stats, size, params.seeds_per_size, &mut hook)
             {
-                let code = canonical_code(&candidate);
                 if store.contains_code(&code) {
                     continue;
                 }

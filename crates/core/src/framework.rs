@@ -183,19 +183,34 @@ impl Midas {
         } else {
             None
         };
+        // The four `bootstrap.*` sub-spans tile the `bootstrap` span.
         let _span = midas_obs::span!("bootstrap");
-        let fct_state = FctState::build(&db, config.mining());
-        let space = FeatureSpace::from_fct(&fct_state.lattice, config.sup_min, db.len());
-        let clusters = ClusterSet::build(&db, &fct_state.lattice, space, config.clustering());
-        let patterns = PatternStore::from_patterns(select_patterns(
-            &clusters,
-            &fct_state.edges,
-            db.len(),
-            &config.selection(),
-        ));
-        let monitor = GraphletMonitor::build(&db);
-        let kernel = MatchKernel::with_matcher(config.threads, config.matcher);
-        let (fct_index, ife_index) = build_indices(&db, &fct_state, &patterns, &config, &kernel);
+        let fct_state = {
+            let _phase = midas_obs::span!("bootstrap.fct");
+            FctState::build(&db, config.mining())
+        };
+        let clusters = {
+            let _phase = midas_obs::span!("bootstrap.cluster");
+            let space = FeatureSpace::from_fct(&fct_state.lattice, config.sup_min, db.len());
+            ClusterSet::build(&db, &fct_state.lattice, space, config.clustering())
+        };
+        let patterns = {
+            let _phase = midas_obs::span!("bootstrap.select");
+            PatternStore::from_patterns(select_patterns(
+                &clusters,
+                &fct_state.edges,
+                db.len(),
+                &config.selection(),
+            ))
+        };
+        let (monitor, kernel, fct_index, ife_index) = {
+            let _phase = midas_obs::span!("bootstrap.index");
+            let monitor = GraphletMonitor::build(&db);
+            let kernel = MatchKernel::with_matcher(config.threads, config.matcher);
+            let (fct_index, ife_index) =
+                build_indices(&db, &fct_state, &patterns, &config, &kernel);
+            (monitor, kernel, fct_index, ife_index)
+        };
         let mut midas = Midas {
             config,
             db,

@@ -28,7 +28,10 @@
 //! 6. **`plan_vs_vf2`** — the plan-compiled CSR matcher
 //!    ([`midas_graph::plan`]) vs the VF2 reference on random pairs:
 //!    capped counts at several caps, coverage booleans, and the full
-//!    embedding *sets* (as sorted mappings) must agree exactly.
+//!    embedding *sets* (as sorted mappings) must agree exactly; and on
+//!    CSG projections: selection's [`CcovTable`] vs VF2 containment and
+//!    the VF2 in-order `ccov` sum, bit for bit, over every distinct
+//!    selection candidate of a `small`-preset world.
 //! 7. **`serve_vs_library`** — the `midas-serve` daemon vs an in-process
 //!    [`Midas`] fed the same bootstrap graphs and the same explicit
 //!    batch sequence through sync updates: the served pattern set,
@@ -58,6 +61,9 @@
 
 pub mod reference_swap;
 
+use midas_catapult::candidates::generate_candidates;
+use midas_catapult::random_walk::random_walks;
+use midas_catapult::{CcovTable, WeightedCsg};
 use midas_cluster::kmeans::dist2_to_centroid;
 use midas_cluster::{
     fine_cluster, Cluster, ClusterConfig, ClusterId, ClusterSet, FeatureSpace, FeatureVector,
@@ -79,7 +85,10 @@ use midas_graph::graphlets::{count_graphlets, GraphletCounts};
 use midas_graph::isomorphism::{count_embeddings, find_embeddings, is_subgraph_of};
 use midas_graph::mccs::mccs_similarity;
 use midas_graph::plan::{count_embeddings_plan, find_embeddings_plan, is_subgraph_plan};
-use midas_graph::{BatchUpdate, GraphBuilder, GraphDb, GraphId, LabeledGraph, MatchKernel};
+use midas_graph::{
+    BatchUpdate, CanonicalCode, GraphBuilder, GraphDb, GraphId, LabeledGraph, MatchKernel,
+    MatchPlan,
+};
 use midas_index::{FctIndex, IfeIndex, PatternId};
 use midas_mining::incremental::FctState;
 use midas_mining::{EdgeCatalog, MiningConfig, TreeKey, TreeLattice};
@@ -801,7 +810,8 @@ impl Oracle {
     /// spread of caps (including cap 1 and an effectively-unbounded cap),
     /// the coverage boolean, and the complete embedding sets as sorted
     /// collections of mappings. Any disagreement minimizes to the
-    /// smallest violating pair.
+    /// smallest violating pair. Then the CSG axis
+    /// ([`Oracle::check_ccov_table`]).
     fn check_plan_vs_vf2(&self, out: &mut Vec<Divergence>) -> usize {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x60);
         let mut cases = 0;
@@ -852,6 +862,112 @@ impl Oracle {
                     format!("{} embeddings", got_set.len()),
                     &pattern,
                     &target,
+                ));
+            }
+        }
+        cases + self.check_ccov_table(out)
+    }
+
+    /// Check 6, CSG axis: the selection's [`CcovTable`] (plan-compiled
+    /// candidates over per-cluster CSR projections) against VF2 on the
+    /// projections rebuilt from the clusters. On a `small`-preset world,
+    /// every distinct selection candidate's containment in every
+    /// projection must agree, and its table `ccov` must equal the VF2
+    /// in-order weight sum bit for bit.
+    fn check_ccov_table(&self, out: &mut Vec<Divergence>) -> usize {
+        let preset = MidasConfig::small_defaults();
+        // 397 graphs (a prime, so no weight k/397 is a short binary
+        // fraction) in clusters of at most 50: sums over several clusters
+        // then round differently in another order, which the bit-for-bit
+        // comparison catches.
+        let db = DatasetSpec::new(DatasetKind::AidsLike, 397, self.seed ^ 0x61)
+            .generate()
+            .db;
+        let fct = FctState::build(&db, preset.mining());
+        let space = FeatureSpace::from_fct(&fct.lattice, preset.sup_min, db.len());
+        let clusters = ClusterSet::build(&db, &fct.lattice, space, preset.clustering());
+        let table = CcovTable::build(&clusters, db.len());
+        let reference: Vec<(f64, LabeledGraph)> = clusters
+            .iter()
+            .map(|(_, c)| {
+                let weight = c.len() as f64 / db.len() as f64;
+                (weight, c.csg().to_labeled_graph().0)
+            })
+            .collect();
+        let mut cases = 1;
+        if table.projections().len() != reference.len() {
+            out.push(ccov_divergence(
+                "projection count".to_owned(),
+                reference.len().to_string(),
+                table.projections().len().to_string(),
+                None,
+            ));
+            return cases;
+        }
+        // Selection's candidates: walks on every weighted CSG, a few rounds
+        // deep, at every size up to η_max (the small sizes land in several
+        // projections, so their sums have several terms).
+        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x62);
+        let csgs: Vec<WeightedCsg> = clusters
+            .iter()
+            .map(|(_, c)| WeightedCsg::build(c.csg(), &fct.edges, db.len()))
+            .collect();
+        let mut candidates: BTreeMap<CanonicalCode, LabeledGraph> = BTreeMap::new();
+        for _round in 0..3 {
+            for csg in &csgs {
+                let stats = random_walks(csg, preset.walks, preset.walk_length, &mut rng);
+                for size in 1..=preset.budget.eta_max {
+                    let mut no_hook = |_: &[(u32, u32)], _: (u32, u32)| true;
+                    for (candidate, code) in
+                        generate_candidates(csg, &stats, size, preset.seeds_per_size, &mut no_hook)
+                    {
+                        candidates.entry(code).or_insert(candidate);
+                    }
+                }
+            }
+        }
+        for (i, candidate) in candidates.values().enumerate() {
+            let plan = MatchPlan::compile(candidate);
+            let mut first_mismatch: Option<&LabeledGraph> = None;
+            let mut terms = Vec::with_capacity(reference.len());
+            for (ci, ((_, csr), (weight, projection))) in
+                table.projections().iter().zip(&reference).enumerate()
+            {
+                cases += 1;
+                let contained = is_subgraph_of(candidate, projection);
+                if contained {
+                    terms.push(*weight);
+                }
+                let got = plan.is_subgraph_of(csr);
+                if got != contained {
+                    first_mismatch.get_or_insert(projection);
+                    out.push(plan_divergence(
+                        format!("candidate {i}: containment in projection {ci}"),
+                        contained.to_string(),
+                        got.to_string(),
+                        candidate,
+                        projection,
+                    ));
+                }
+            }
+            cases += 1;
+            let want: f64 = terms.into_iter().sum();
+            let got = table.ccov(&plan);
+            if got.to_bits() != want.to_bits() {
+                // The witness is the first projection whose containment
+                // disagreed (minimized when a fresh plan still disagrees);
+                // a sum can also drift with every containment agreeing
+                // (weights or order), and then there is none.
+                let witness = first_mismatch.map(|projection| {
+                    minimize_pair(candidate, projection, |p, g| {
+                        is_subgraph_of(p, g) != is_subgraph_plan(p, g)
+                    })
+                });
+                out.push(ccov_divergence(
+                    format!("candidate {i} ({}): ccov", graph_json(candidate)),
+                    format!("{want:?}"),
+                    format!("{got:?}"),
+                    witness,
                 ));
             }
         }
@@ -1427,6 +1543,22 @@ fn plan_divergence(
         expected,
         actual,
         witness: Some(witness),
+    }
+}
+
+/// A `plan_vs_vf2` divergence on the CSG axis's `ccov` sums.
+fn ccov_divergence(
+    case: String,
+    expected: String,
+    actual: String,
+    witness: Option<(LabeledGraph, LabeledGraph)>,
+) -> Divergence {
+    Divergence {
+        check: "plan_vs_vf2",
+        case,
+        expected,
+        actual,
+        witness,
     }
 }
 

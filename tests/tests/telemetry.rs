@@ -1,10 +1,11 @@
 //! End-to-end telemetry: Algorithm-1 phase spans must tile PMT, the
-//! required counters must appear in a batch's snapshot, and both exporters
-//! must emit valid JSON.
+//! bootstrap sub-spans must tile bootstrap, the required counters must
+//! appear in a batch's snapshot, and both exporters must emit valid JSON.
 //!
 //! The telemetry switch is process-global, so every test here holds a
 //! shared lock and restores the disabled default before releasing it.
 
+use midas_catapult::select::select_patterns_unmemoized;
 use midas_core::framework::Midas;
 use midas_graph::{BatchUpdate, GraphBuilder, GraphDb, LabeledGraph};
 use midas_obs::{json, MetricsSnapshot, TelemetryConfig};
@@ -82,6 +83,61 @@ fn phase_spans_tile_pattern_maintenance_time() {
     assert_eq!(telemetry.span("batch.swap").count, 1);
     assert_eq!(telemetry.span("batch.swap.score").count, 1);
     assert!(telemetry.span("batch.swap.scan").count >= 1);
+}
+
+/// The bootstrap sub-spans, in pipeline order.
+const BOOTSTRAP_PHASES: &[&str] = &[
+    "bootstrap.fct",
+    "bootstrap.cluster",
+    "bootstrap.select",
+    "bootstrap.index",
+];
+
+#[test]
+fn bootstrap_sub_spans_tile_bootstrap_and_selection_counts_every_candidate() {
+    let _g = exclusive();
+    let mut cfg = test_config(7);
+    cfg.telemetry.enabled = true;
+    // A span name's first record registers it, between the sub-spans; on
+    // a bootstrap this small that one-off cost shows, so measure a second
+    // bootstrap.
+    Midas::bootstrap(seed_db(), cfg).unwrap();
+    let baseline = MetricsSnapshot::capture();
+    let midas = Midas::bootstrap(seed_db(), cfg).unwrap();
+    let telemetry = MetricsSnapshot::capture().since(&baseline);
+
+    let bootstrap = telemetry.span("bootstrap");
+    assert_eq!(bootstrap.count, 1);
+    for phase in BOOTSTRAP_PHASES {
+        assert_eq!(telemetry.span(phase).count, 1, "span {phase}");
+    }
+    let covered = telemetry.span_total(BOOTSTRAP_PHASES);
+    assert!(
+        covered.as_secs_f64() >= 0.95 * bootstrap.total().as_secs_f64(),
+        "sub-spans cover {covered:?} of bootstrap {:?}",
+        bootstrap.total()
+    );
+
+    // Scoring every candidate afresh counts each candidate considered once;
+    // the memoized bootstrap run splits the same candidates into scored
+    // classes and memo reads.
+    let scored = telemetry.counter("catapult.scored");
+    let reused = telemetry.counter("catapult.score_reused");
+    let baseline = MetricsSnapshot::capture();
+    let fresh = select_patterns_unmemoized(
+        midas.clusters(),
+        &midas.fct_state().edges,
+        midas.db().len(),
+        &midas.config().selection(),
+    );
+    let considered = MetricsSnapshot::capture()
+        .since(&baseline)
+        .counter("catapult.scored");
+    TelemetryConfig::default().activate();
+    assert!(scored > 0);
+    assert!(reused > 0, "repeated classes are read from the memo");
+    assert_eq!(scored + reused, considered);
+    assert_eq!(fresh, midas.patterns());
 }
 
 #[test]
